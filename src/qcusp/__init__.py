@@ -5,7 +5,7 @@ j-invariant and Tate parameters, normalized Tate traces, q-expansion
 deciders, the level-p group action with its period map, characteristic-p
 tilting towers, and rank-2 valuations."""
 
-from .coeff import CycloCoeff, RingContext, arith, inv, new_ring, val_p, zeta
+from .coeff import CycloCoeff, RingContext, inv, new_ring, val_p, zeta
 from .series import (
     Exponent,
     FamilySeries,

@@ -2,8 +2,9 @@ from fractions import Fraction
 from math import inf
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from qcusp.coeff import CycloCoeff, arith, inv, is_prime, new_ring, val_p, zeta
+from qcusp.coeff import _KRONECKER_MIN_PHI, CycloCoeff, _reduce, _unit_mul, inv, is_prime, new_ring, val_p, zeta
 from qcusp.errors import DepthError, NotInvertibleError
 
 from conftest import random_coeff
@@ -91,14 +92,14 @@ def test_arith_shift_handling():
     ctx = new_ring(2, 6, 0)
     pu = CycloCoeff.from_int(ctx, 2 * 3)
     pv = CycloCoeff.from_int(ctx, 2 * 5)
-    total = arith(pu, pv, "add")  # 2*(3+5) = 16: carries push the shift up
+    total = pu + pv  # 2*(3+5) = 16: carries push the shift up
     assert total == CycloCoeff.from_int(ctx, 16)
     assert total.shift == 4
     a = CycloCoeff.from_int(ctx, 3).p_times(-1)
     b = CycloCoeff.from_int(ctx, 5).p_times(1)
-    prod = arith(a, b, "mul")
+    prod = a * b
     assert prod.shift == 0 and prod == CycloCoeff.from_int(ctx, 15)
-    assert arith(pu, pv, "sub") == CycloCoeff.from_int(ctx, -4)
+    assert pu - pv == CycloCoeff.from_int(ctx, -4)
 
 
 def test_ring_axioms_random(rng):
@@ -200,3 +201,130 @@ def test_equals_mod():
     assert a != b
     assert a.equals_mod(b, 3)
     assert not a.equals_mod(b, 4)
+
+
+def test_mul_zeta_power_rejects_negative_level():
+    ctx = new_ring(3, 4, 2)
+    with pytest.raises(ValueError):
+        zeta(ctx, 1).mul_zeta_power(-1, 1)
+    with pytest.raises(ValueError):
+        CycloCoeff.zero(ctx).mul_zeta_power(-2, 0)
+
+
+# -- property tests against an independent reference ------------------------
+
+# every (p, s) with p in {2, 3, 5, 7} and phi(p^s) <= 100
+RINGS = [(p, s) for p in (2, 3, 5, 7) for s in range(5) if new_ring(p, 1, s).phi <= 100]
+PHIS = [new_ring(p, 1, s).phi for p, s in RINGS]
+assert min(PHIS) < _KRONECKER_MIN_PHI <= max(PHIS)  # the grid straddles the product crossover
+
+
+def reference_reduce(ctx, poly, modulus):
+    """Long division of the integer polynomial poly by the monic Phi_{p^s}; the remainder mod modulus."""
+    rem = list(poly)
+    d = len(ctx.modulus) - 1
+    for top in range(len(rem) - 1, d - 1, -1):
+        c = rem[top]
+        if c:
+            for i, m in enumerate(ctx.modulus):
+                rem[top - d + i] -= c * m
+    rem += [0] * (d - len(rem))
+    return tuple(v % modulus for v in rem[:d])
+
+
+def reference_mul(ctx, a, b, modulus):
+    prod = [0] * (len(a) + len(b) - 1)
+    for i, ai in enumerate(a):
+        for j, bj in enumerate(b):
+            prod[i + j] += ai * bj
+    return reference_reduce(ctx, prod, modulus)
+
+
+@st.composite
+def ring_and_precision(draw, p, s, min_k=1):
+    """A context at depth s with 1 <= prec <= k, so modulus = p^prec may be below p^k.
+    k up to 40 makes Kronecker slots wider than 8 bytes, the path that skips `array`."""
+    ctx = new_ring(p, draw(st.integers(min_k, 6) | st.integers(min_k, 40)), s)
+    return ctx, draw(st.integers(1, ctx.k))
+
+
+def unit_tuples(ctx):
+    """Unit tuples with entries in [0, p^k - 1]."""
+    return st.lists(st.integers(0, ctx.pk - 1), min_size=ctx.phi, max_size=ctx.phi).map(tuple)
+
+
+def units(ctx, prec):
+    """Elements p^shift * u with u(1) != 0 mod p, i.e. shifted units."""
+    return st.tuples(st.integers(-2, 2), unit_tuples(ctx)).filter(
+        lambda t: sum(t[1]) % ctx.p).map(lambda t: CycloCoeff(ctx, t[0], t[1], prec))
+
+
+@pytest.mark.parametrize("p,s", RINGS)
+def test_kernel_widest_slots(p, s):
+    # all entries p^k - 1 fill every product slot to its widest; zeros between them leave gaps
+    for k in (6, 40):  # slots of at most 8 bytes, and wider
+        ctx = new_ring(p, k, s)
+        top = (ctx.pk - 1,) * ctx.phi
+        gappy = tuple(ctx.pk - 1 if i % 2 else 0 for i in range(ctx.phi))
+        for prec in (ctx.k, 2):
+            modulus = ctx.p**prec
+            for a, b in ((top, top), (top, gappy), (gappy, gappy)):
+                assert _unit_mul(ctx, a, b, modulus) == reference_mul(ctx, a, b, modulus)
+
+
+@pytest.mark.parametrize("p,s", RINGS)
+@settings(max_examples=15, deadline=None)
+@given(data=st.data())
+def test_kernel_matches_reference(p, s, data):
+    ctx, prec = data.draw(ring_and_precision(p, s))
+    modulus = ctx.p**prec
+    a = data.draw(unit_tuples(ctx))
+    b = data.draw(unit_tuples(ctx))
+    assert _unit_mul(ctx, a, b, modulus) == reference_mul(ctx, a, b, modulus)
+    # reduction of arbitrary length and sign, as from_poly and mul_zeta_power use it
+    poly = data.draw(st.lists(st.integers(-ctx.pk, ctx.pk), max_size=3 * ctx.order + 2))
+    assert _reduce(ctx, poly, modulus) == reference_reduce(ctx, poly, modulus)
+
+
+@pytest.mark.parametrize("p,s", RINGS)
+@settings(max_examples=10, deadline=None)
+@given(data=st.data())
+def test_mul_zeta_power_matches_multiplication(p, s, data):
+    ctx, prec = data.draw(ring_and_precision(p, s))
+    a = CycloCoeff(ctx, data.draw(st.integers(-2, 2)), data.draw(unit_tuples(ctx)), prec)
+    n = data.draw(st.integers(0, s))
+    e = data.draw(st.integers(-3 * ctx.order, 3 * ctx.order))
+    got = a.mul_zeta_power(n, e)
+    want = a * zeta(ctx, n) ** (e % p**n)
+    assert (got.shift, got.unit, got.prec) == (want.shift, want.unit, want.prec)
+
+
+@pytest.mark.parametrize("p,s", RINGS)
+@settings(max_examples=10, deadline=None)
+@given(data=st.data())
+def test_inv_is_inverse_at_precision(p, s, data):
+    ctx, prec = data.draw(ring_and_precision(p, s))
+    a = data.draw(units(ctx, prec))
+    b = inv(a)
+    assert b.shift == -a.shift and b.prec == a.prec
+    prod = a * b
+    assert (prod.shift, prod.unit, prod.prec) == (0, (1,) + (0,) * (ctx.phi - 1), a.prec)
+
+
+@pytest.mark.parametrize("p,s", [(p, s) for p, s in RINGS if s > 0])
+@settings(max_examples=10, deadline=None)
+@given(data=st.data())
+def test_inv_rejects_exactly_the_ramified(p, s, data):
+    # a = pi^i * w with pi = zeta_{p^s} - 1 and w a unit has val_p = shift + i/phi;
+    # it is a shifted unit iff phi | i, iff its normalized u(1) != 0 mod p
+    ctx, prec = data.draw(ring_and_precision(p, s, min_k=3))
+    w = data.draw(units(ctx, prec))
+    i = data.draw(st.integers(0, 2 * ctx.phi - 1))
+    a = (zeta(ctx, s) - CycloCoeff.one(ctx)) ** i * w
+    ramified = i % ctx.phi != 0
+    assert ramified == (sum(a.unit) % p == 0) == (val_p(a) != a.shift)
+    if ramified:
+        with pytest.raises(NotInvertibleError):
+            inv(a)
+    else:
+        assert a * inv(a) == CycloCoeff.one(ctx)
