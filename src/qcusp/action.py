@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .coeff import is_prime
 from .errors import DomainError
 from .series import FracSeries, twist
 
@@ -33,6 +34,10 @@ class Mat2:
     d: int
 
     def __post_init__(self):
+        if not is_prime(self.p):
+            raise DomainError(f"matrix modulus needs a prime p, got {self.p}")
+        if self.m < 1:
+            raise DomainError(f"matrix precision m must be >= 1, got {self.m}")
         pm = self.p**self.m
         for name in ("a", "b", "c", "d"):
             object.__setattr__(self, name, getattr(self, name) % pm)

@@ -12,7 +12,7 @@ import argparse
 import sys
 
 from .action import CuspPoint, Mat2, ProjPoint, act_cusp
-from .coeff import new_ring
+from .coeff import RingContext, new_ring
 from .errors import QcuspError
 from .fileformat import (
     emit_series,
@@ -90,6 +90,17 @@ def _require(parser: _Parser, args, *names) -> None:
     for name in names:
         if getattr(args, name) is None:
             parser.error(f"--{name} is required for this subcommand")
+
+
+def _generation_ring(parser: _Parser, args) -> RingContext:
+    """The ring of jseries / revert-j; bad flags are usage errors."""
+    _require(parser, args, "p", "k", "s")
+    if args.terms < 1:
+        raise QcuspError(f"--terms must be >= 1, got {args.terms}")
+    try:
+        return new_ring(args.p, args.k, args.s)
+    except ValueError as exc:
+        raise QcuspError(str(exc))
 
 
 def _parse_gamma(parser: _Parser, text: str, p: int, m: int) -> Mat2:
@@ -194,14 +205,12 @@ def _dispatch(argv: list[str], out) -> int:
     args = parser.parse_args(argv)
 
     if args.command == "jseries":
-        _require(parser, args, "p", "k", "s")
-        ctx = new_ring(args.p, args.k, args.s)
+        ctx = _generation_ring(parser, args)
         out.write(emit_series(j_series(ctx, args.terms)))
         return EXIT_YES
 
     if args.command == "revert-j":
-        _require(parser, args, "p", "k", "s")
-        ctx = new_ring(args.p, args.k, args.s)
+        ctx = _generation_ring(parser, args)
         out.write(emit_series(j_inverse_series(ctx, args.terms)))
         return EXIT_YES
 

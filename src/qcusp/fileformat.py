@@ -199,7 +199,10 @@ def parse_series(text: str, overrides: dict | None = None) -> FracSeries | CharP
         except Exception as exc:
             raise SeriesFileError(str(exc))
 
-    ctx = new_ring(p, k, s)
+    try:
+        ctx = new_ring(p, k, s)
+    except ValueError as exc:
+        raise SeriesFileError(f"bad ring header: {exc}")
     fterms: dict[Fraction, CycloCoeff] = {}
     for lineno, line in term_lines:
         exp_text, sep, coeff_text = line.partition(":")

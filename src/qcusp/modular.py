@@ -8,14 +8,20 @@ corrupt high coefficients. The route chosen for j is E4^3 / Delta with
     Delta = q * prod_{n>=1} (1 - q^n)^24,
     E4    = 1 + 240 * sum_{n>=1} sigma_3(n) q^n,
 
-anchored by the classical leading coefficients 1, 744, 196884.
+anchored by the classical leading coefficients 1, 744, 196884. The
+reversion q(w) of w = 1/j comes from Lagrange inversion,
+b_d = (1/d) [q^(d-1)] (q*j)^d, with the powers split into baby and giant
+steps (Brent-Kung). Every series product is one Kronecker-packed big-int
+product (`_int_mul`).
 """
 
 from __future__ import annotations
 
+import math
+import operator
 from fractions import Fraction
 
-from .coeff import CycloCoeff, RingContext, val_p
+from .coeff import CycloCoeff, RingContext, inv, val_p
 from .errors import DomainError
 from .series import FracSeries, from_terms
 
@@ -23,15 +29,42 @@ from .series import FracSeries, from_terms
 
 
 def _int_mul(a: list[int], b: list[int], n: int) -> list[int]:
-    """Product of two integer series through degree n."""
+    """Product of two integer series through degree n, as one Kronecker-packed
+    big-int product.
+
+    Each coefficient gets a slot of whole bytes wide enough for any signed
+    product coefficient. The positive and negative parts are packed
+    separately and subtracted, so the packed integers are exactly
+    sum a_i X^i and sum b_i X^i with X = 2^slot. The product is truncated to
+    its first m slots with a mask (a % by a power of two would run a long
+    division), and an offset of 2^(slot-1) per slot makes every slot
+    non-negative so that it unpacks without borrows.
+    """
     out = [0] * (n + 1)
-    for i, ai in enumerate(a[: n + 1]):
-        if ai == 0:
-            continue
-        for j, bj in enumerate(b[: n + 1 - i]):
-            if bj:
-                out[i + j] += ai * bj
+    a = a[: n + 1]
+    b = b[: n + 1]
+    top_a = max(map(abs, a), default=0)
+    top_b = max(map(abs, b), default=0)
+    if not (top_a and top_b):
+        return out
+    m = min(n + 1, len(a) + len(b) - 1)
+    width = (top_a.bit_length() + top_b.bit_length() + min(len(a), len(b)).bit_length() + 2 + 7) // 8
+    bits = 8 * width
+    mask = (1 << (bits * m)) - 1
+    half = 1 << (bits - 1)
+    offset = int.from_bytes(half.to_bytes(width, "little") * m, "little")
+    product = (_pack(a, width) * _pack(b, width) + offset) & mask
+    raw = product.to_bytes(width * m, "little")
+    out[:m] = [int.from_bytes(raw[i : i + width], "little") - half for i in range(0, width * m, width)]
     return out
+
+
+def _pack(a: list[int], width: int) -> int:
+    """sum a_i 2^(8*width*i) for signed a_i with |a_i| < 2^(8*width)."""
+    zero = bytes(width)
+    pos = b"".join([c.to_bytes(width, "little") if c > 0 else zero for c in a])
+    neg = b"".join([(-c).to_bytes(width, "little") if c < 0 else zero for c in a])
+    return int.from_bytes(pos, "little") - int.from_bytes(neg, "little")
 
 
 def _int_inverse(a: list[int], n: int) -> list[int]:
@@ -139,21 +172,32 @@ def one_over_j_coefficients(n_terms: int) -> list[int]:
 
 def j_inverse_coefficients(n_terms: int) -> list[int]:
     """Coefficients b_1, ..., b_n of the reversion q(w) = w + 744 w^2 + ...
-    of 1/j, solved exactly over Z by term-by-term back-substitution."""
-    u = one_over_j_coefficients(n_terms)  # u[i] = coeff of q^(i+1) in 1/j
-    b = [0] * (n_terms + 1)  # b[d] = coeff of w^d in q(w)
-    b[1] = u[0]  # u starts q + ..., so this is 1
-    for d in range(2, n_terms + 1):
-        # coefficient of w^d in u(g) where g = sum b_i w^i known below d
-        gpow = [0] * (d + 1)
-        gpow[0] = 1
-        acc = 0
-        for i in range(1, d + 1):
-            gpow = _int_mul(gpow, b[: d + 1], d)
-            if i - 1 < len(u):
-                acc += u[i - 1] * gpow[d]
-        b[d] = -acc
-    return b[1:]
+    of 1/j, exact over Z by Lagrange inversion.
+
+    With h = q*j = 1 + 744 q + ..., w = 1/j = q/h(q) gives q = w*h(q), so
+    b_d = (1/d) [q^(d-1)] h^d. The powers split as h^d = h^(r*a) * h^c with
+    r = ceil(sqrt(n)): r baby steps h^c and about n/r giant steps h^(r*a),
+    each one `_int_mul` through degree n-1, leave one length-d dot product
+    and one exact division per b_d.
+    """
+    h = j_coefficients(n_terms)[:n_terms]
+    top = n_terms - 1
+    r = math.isqrt(n_terms - 1) + 1
+    one = [1] + [0] * top
+    baby = [one]
+    for _ in range(r):
+        baby.append(_int_mul(baby[-1], h, top))
+    giant = [one]
+    for _ in range(n_terms // r):
+        giant.append(_int_mul(giant[-1], baby[r], top))
+    out = []
+    for d in range(1, n_terms + 1):
+        a, c = divmod(d, r)
+        coeff, rem = divmod(sum(map(operator.mul, giant[a][:d], reversed(baby[c][:d]))), d)
+        if rem:
+            raise AssertionError("j reversion lost its exact division")
+        out.append(coeff)
+    return out
 
 
 def j_inverse_series(ctx: RingContext, terms: int) -> FracSeries:
@@ -174,9 +218,7 @@ def tate_parameter_from_j(jval: CycloCoeff) -> CycloCoeff:
     v = val_p(jval)
     if not (isinstance(v, Fraction) and v < 0):
         raise DomainError("Tate parameter needs val_p(j) < 0; this point is not on a parameter disc")
-    from .coeff import inv as coeff_inv
-
-    w = coeff_inv(jval)
+    w = inv(jval)
     vw = -v
     # terms beyond n_max have valuation >= (n_max+1)*vw >= vw + k
     n_max = int(Fraction(ctx.k) / vw) + 1

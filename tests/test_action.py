@@ -61,6 +61,13 @@ def test_mat_rejects_singular():
         Mat2(5, 2, 5, 0, 0, 5)
 
 
+@pytest.mark.parametrize("p,m", [(4, 4), (1, 2), (9, 1), (5, 0), (2, -1)])
+def test_mat_rejects_bad_modulus(p, m):
+    # Z/p^m with p composite or m < 1 is not the group the action is defined on
+    with pytest.raises(DomainError):
+        Mat2(p, m, 3, 5, 0, 7)
+
+
 def test_subgroup_tests():
     p, m = 5, 2
     assert subgroup_test(Mat2(p, m, 1, 1, 0, 1), "gamma0_inf")

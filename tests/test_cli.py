@@ -97,6 +97,42 @@ def test_usage_errors():
     assert code == EXIT_USAGE
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["jseries", "--p", "5", "--k", "4", "--s", "0", "--terms", "0"],
+        ["revert-j", "--p", "5", "--k", "4", "--s", "0", "--terms", "-3"],
+        ["jseries", "--p", "4", "--k", "4", "--s", "0", "--terms", "3"],
+        ["jseries", "--p", "5", "--k", "0", "--s", "0", "--terms", "3"],
+        ["revert-j", "--p", "5", "--k", "4", "--s", "5", "--terms", "3"],
+        ["level", "--s", "7", str(GOLDEN / "in_frac.txt")],
+    ],
+    ids=["terms-zero", "terms-negative", "p-composite", "k-zero", "s-too-deep", "file-s-override"],
+)
+def test_bad_generation_flags_are_usage_errors(argv, capsys):
+    code, out = run_text(argv)
+    assert code == EXIT_USAGE
+    assert out == ""
+    err = capsys.readouterr().err
+    assert err.startswith("qcusp: ") and err.count("\n") == 1
+
+
+def test_ht_rejects_composite_p():
+    code, out = run_text(["ht", "--p", "4", "--m", "4", "--gamma", "3,5,0,7"])
+    assert code == EXIT_USAGE
+    assert out == ""
+
+
+def test_package_main_entry_point():
+    proc = subprocess.run(
+        [sys.executable, "-m", "qcusp", "ht", "--p", "2", "--m", "4", "--gamma", "3,5,0,7"],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0
+    assert proc.stdout == (GOLDEN / "out_ht.txt").read_text()
+
+
 def test_console_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "qcusp.cli", "ht", "--p", "2", "--m", "4", "--gamma", "3,5,0,7"],

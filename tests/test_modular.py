@@ -4,10 +4,12 @@ naive-convolution oracle and the classical coefficient values."""
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from qcusp.coeff import CycloCoeff, inv, new_ring, val_p
 from qcusp.errors import DomainError
 from qcusp.modular import (
+    _int_mul,
     delta_series,
     eisenstein4_coefficients,
     eisenstein4_series,
@@ -111,8 +113,8 @@ def test_reversion_golden_values():
 
 
 def test_reversion_composition_exact():
-    # substituting q(w) into 1/j returns w exactly through w^10
-    n = 10
+    # substituting q(w) into 1/j returns w exactly through w^50
+    n = 50
     u = one_over_j_coefficients(n)
     b = [0] + j_inverse_coefficients(n)
     comp = [0] * (n + 1)
@@ -174,3 +176,65 @@ def test_tate_parameter_rejects_integral_j():
         tate_parameter_from_j(CycloCoeff.one(ctx))
     with pytest.raises(DomainError):
         tate_parameter_from_j(CycloCoeff.from_int(ctx, 3))
+
+
+def schoolbook_mul(a: list[int], b: list[int], n: int) -> list[int]:
+    out = [0] * (n + 1)
+    for i, ai in enumerate(a):
+        for j, bj in enumerate(b):
+            if i + j <= n:
+                out[i + j] += ai * bj
+    return out
+
+
+@st.composite
+def int_series(draw):
+    """Signed entries up to thousands of bits; +-(2^bits - 1) fills the
+    widest slot and the sign offset."""
+    top = (1 << draw(st.integers(0, 3000))) - 1
+    entry = st.sampled_from([0, top, -top, 1, -1]) | st.integers(-top, top)
+    return draw(st.lists(entry, max_size=12))
+
+
+@settings(max_examples=200, deadline=None)
+@given(a=int_series(), b=int_series(), extra=st.integers(-24, 4))
+@example(a=[], b=[1, 2], extra=2)
+@example(a=[0, 0, 0], b=[5, -7], extra=-1)
+@example(a=[0], b=[0], extra=3)
+def test_int_mul_matches_schoolbook(a, b, extra):
+    # n runs from below to above len(a) + len(b) - 2, the top product degree
+    n = max(0, len(a) + len(b) - 2 + extra)
+    assert _int_mul(a, b, n) == schoolbook_mul(a, b, n)
+
+
+@pytest.mark.parametrize("bits", [1, 2, 3, 6, 7, 11, 64, 1001, 3000])
+def test_int_mul_widest_slots(bits):
+    # all entries +-(2^bits - 1): every middle coefficient reaches
+    # min(len) * max|a| * max|b|, the bound the slot width is sized for
+    top = (1 << bits) - 1
+    for la, lb in ((1, 1), (2, 3), (3, 5), (8, 8), (9, 40), (40, 9)):
+        for sa, sb in ((1, 1), (1, -1), (-1, -1)):
+            a, b = [sa * top] * la, [sb * top] * lb
+            for n in (la + lb - 2, la + lb + 3, (la + lb) // 2):
+                assert _int_mul(a, b, n) == schoolbook_mul(a, b, n)
+
+
+def back_substitution_reversion(n_terms: int) -> list[int]:
+    """The reversion of 1/j solved term by term over Z: b_d is minus the
+    w^d coefficient of sum_i u_i g^i with g = sum_{e<d} b_e w^e."""
+    u = one_over_j_coefficients(n_terms)  # u[i] = coeff of q^(i+1) in 1/j
+    b = [0] * (n_terms + 1)  # b[d] = coeff of w^d in q(w)
+    b[1] = u[0]
+    for d in range(2, n_terms + 1):
+        gpow = [1]
+        acc = 0
+        for i in range(1, d + 1):
+            gpow = schoolbook_mul(gpow, b[: d + 1], d)
+            acc += u[i - 1] * gpow[d]
+        b[d] = -acc
+    return b[1:]
+
+
+def test_reversion_matches_back_substitution():
+    for n in range(1, 41):
+        assert j_inverse_coefficients(n) == back_substitution_reversion(n)
