@@ -46,7 +46,6 @@ from .action import (
     canonical_line,
     decompose_gamma,
     ht,
-    mat_mul,
     proj_action,
     splitting_section,
     subgroup_test,
@@ -56,7 +55,6 @@ from .tiltperf import (
     CharPSeries,
     TiltTower,
     charp_from_terms,
-    charp_from_tower,
     frobenius,
     frobenius_inv,
     reduce_mod_p,
@@ -64,9 +62,8 @@ from .tiltperf import (
     tower_add,
     tower_from_charp,
     tower_mul,
-    tower_new,
 )
-from .valuation import Rank2Value, classify_point, generise, in_Fplus, v1minus
+from .valuation import Rank2Value, classify_point, in_Fplus, v1minus
 from .errors import (
     ContextMismatchError,
     DepthError,

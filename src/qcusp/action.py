@@ -69,10 +69,6 @@ class Mat2:
         return (self.a, self.b, self.c, self.d)
 
 
-def mat_mul(g1: Mat2, g2: Mat2) -> Mat2:
-    return g1 * g2
-
-
 def subgroup_test(g: Mat2, which: str, n: int | None = None) -> bool:
     """Membership tests decided by unit/divisibility checks on entries.
 

@@ -27,7 +27,7 @@ from .principles import PrincipleVerdict, Verdict, detect_level, extends_to_cusp
 from .series import FracSeries
 from .tiltperf import CharPSeries, frobenius_inv, tower_from_charp
 from .trace import tate_trace
-from .valuation import classify_point, generise, v1minus
+from .valuation import classify_point, v1minus
 
 EXIT_YES = 0
 EXIT_NO = 1
@@ -95,12 +95,17 @@ def _require(parser: _Parser, args, *names) -> None:
 def _generation_ring(parser: _Parser, args) -> RingContext:
     """The ring of jseries / revert-j; bad flags are usage errors."""
     _require(parser, args, "p", "k", "s")
-    if args.terms < 1:
-        raise QcuspError(f"--terms must be >= 1, got {args.terms}")
+    _at_least("--terms", args.terms, 1)
     try:
         return new_ring(args.p, args.k, args.s)
     except ValueError as exc:
         raise QcuspError(str(exc))
+
+
+def _at_least(flag: str, value: int, low: int) -> None:
+    """A count flag below its minimum is a usage error, not a verdict."""
+    if value < low:
+        raise QcuspError(f"{flag} must be >= {low}, got {value}")
 
 
 def _parse_gamma(parser: _Parser, text: str, p: int, m: int) -> Mat2:
@@ -215,6 +220,7 @@ def _dispatch(argv: list[str], out) -> int:
         return EXIT_YES
 
     if args.command == "trace":
+        _at_least("--n", args.n, 0)
         series, meta = _load_frac(args)
         traced = tate_trace(series, args.n)
         out.write(emit_series(traced, meta.get("cusp_label", ""), int(meta.get("e", "1"))))
@@ -259,12 +265,14 @@ def _dispatch(argv: list[str], out) -> int:
         return EXIT_YES
 
     if args.command == "tilt":
+        _at_least("--depth", args.tower_depth, 1)
         series, meta = _load_charp(args)
         tower = tower_from_charp(series, args.tower_depth)
         out.write(emit_tower(tower, meta.get("cusp_label", ""), int(meta.get("e", "1"))))
         return EXIT_YES
 
     if args.command == "perfection":
+        _at_least("--iterations", args.iterations, 0)
         series, meta = _load_charp(args)
         lifted = CharPSeries(series.p, dict(series.items()), series.deg_bound,
                              series.depth_bound + args.iterations, series.laurent, _trusted=True)
@@ -278,7 +286,7 @@ def _dispatch(argv: list[str], out) -> int:
         val = v1minus(series)
         out.write(f"type {classify_point(val)}\n")
         out.write(f"v1minus {val.v} {val.g}\n")
-        out.write(f"generise {generise(val)}\n")
+        out.write(f"generise {val.generize()}\n")
         return EXIT_YES
 
     raise AssertionError("unreachable")

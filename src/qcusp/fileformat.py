@@ -25,7 +25,7 @@ from math import inf
 from .coeff import CycloCoeff, RingContext, new_ring
 from .errors import SeriesFileError
 from .series import FracSeries, exponent_depth
-from .tiltperf import CharPSeries, TiltTower, tower_new
+from .tiltperf import CharPSeries, TiltTower
 
 HEADER_ORDER = ("p", "k", "s", "depth", "deg", "laurent", "cusp_label", "e", "mode")
 
@@ -264,4 +264,4 @@ def parse_tower(text: str) -> TiltTower:
         if not isinstance(comp, CharPSeries):
             raise SeriesFileError("tower components must be charp series")
         comps.append(comp)
-    return tower_new(comps)
+    return TiltTower(comps)

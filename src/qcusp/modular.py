@@ -71,14 +71,11 @@ def _int_inverse(a: list[int], n: int) -> list[int]:
     """Inverse of a series with a[0] = +-1, through degree n."""
     if a[0] not in (1, -1):
         raise DomainError("integer series inversion needs a unit constant term")
+    a = a[: n + 1] + [0] * (n + 1 - len(a))
     out = [0] * (n + 1)
     out[0] = a[0]
     for d in range(1, n + 1):
-        acc = 0
-        for i in range(1, d + 1):
-            ai = a[i] if i < len(a) else 0
-            acc += ai * out[d - i]
-        out[d] = -a[0] * acc
+        out[d] = -a[0] * sum(map(operator.mul, a[1 : d + 1], out[d - 1 :: -1]))
     return out
 
 
@@ -116,9 +113,10 @@ def eisenstein4_coefficients(n: int) -> list[int]:
     """E4 through degree n: 1 + 240 sum sigma_3(m) q^m."""
     out = [0] * (n + 1)
     out[0] = 1
-    for d in range(1, n + 1):
-        sigma3 = sum(e**3 for e in range(1, d + 1) if d % e == 0)
-        out[d] = 240 * sigma3
+    for e in range(1, n + 1):  # divisor sieve: e**3 reaches every multiple of e
+        c = 240 * e**3
+        for d in range(e, n + 1, e):
+            out[d] += c
     return out
 
 

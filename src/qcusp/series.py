@@ -11,15 +11,19 @@ These model O[[q^(1/p^oo)]][1/p] and its Laurent completion at working
 precision. Operation results carry soundly shrunk degree bounds so that a
 term the truncation cannot certify is never reported.
 
-Exponents are handled as Fraction values; Fraction normalization makes the
+Stored exponent keys are Fraction values; Fraction normalization makes the
 "p does not divide the numerator unless the depth is 0" invariant automatic.
+The kernels do not loop on Fractions: products key terms by the integer
+numerators over one common p-power denominator (`_int_keys`), and compose
+and revert work on dense lists indexed by integer exponent. Each result
+term converts back to a Fraction once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, inf
+from math import floor, gcd, inf
 
 from .coeff import CycloCoeff, RingContext
 from .errors import ContextMismatchError, DepthError, DomainError
@@ -195,12 +199,13 @@ class FracSeries:
         self._check_ctx(other)
         deg = _mul_deg_bound(self, other)
         depth = max(self.depth_bound, other.depth_bound)
-        out: dict[Fraction, CycloCoeff] = {}
-        for m1, c1 in self._terms.items():
-            for m2, c2 in other._terms.items():
+        a, b, den, top = _int_keys(self._terms, other._terms, deg)
+        out: dict[int, CycloCoeff] = {}
+        for m1, c1 in a:
+            for m2, c2 in b:
                 m = m1 + m2
-                if m > deg:
-                    continue
+                if m > top:
+                    break
                 c = c1 * c2
                 if m in out:
                     c = out[m] + c
@@ -209,7 +214,7 @@ class FracSeries:
                 else:
                     out[m] = c
         return FracSeries(
-            self.ctx, dict(sorted(out.items())), deg, depth,
+            self.ctx, {Fraction(m, den): c for m, c in sorted(out.items())}, deg, depth,
             self.laurent or other.laurent, _trusted=True,
         )
 
@@ -238,18 +243,30 @@ class FracSeries:
         return FracSeries(self.ctx, out, deg, self.depth_bound, self.laurent, _trusted=True)
 
 
-def _mul_deg_bound(f: FracSeries, g: FracSeries):
+def _mul_deg_bound(f, g):
     """Sound degree bound for f*g: the unknown tail of one factor first meets
     the smallest known exponent of the other at deg + min-exponent."""
     if f.deg_bound == inf and g.deg_bound == inf:
         return inf
-    mf = f.min_exponent()
-    mg = g.min_exponent()
-    mf = f.deg_bound if mf is None else min(mf, f.deg_bound)
-    mg = g.deg_bound if mg is None else min(mg, g.deg_bound)
+    mf = min([*f._terms, f.deg_bound])
+    mg = min([*g._terms, g.deg_bound])
     left = inf if f.deg_bound == inf else f.deg_bound + mg
     right = inf if g.deg_bound == inf else g.deg_bound + mf
     return min(left, right)
+
+
+def _int_keys(ta: dict, tb: dict, deg):
+    """Both term maps as ascending (integer numerator, coefficient) lists over
+    their common denominator den, and the largest numerator top <= deg * den.
+
+    Denominators are p-powers, so the largest one is a multiple of the rest.
+    deg may have a larger denominator than den, hence floor, never equality.
+    """
+    den = max([m.denominator for m in ta] + [m.denominator for m in tb], default=1)
+    # keys are distinct, so sorting the pairs never compares coefficients
+    a = sorted([(m.numerator * (den // m.denominator), c) for m, c in ta.items()])
+    b = sorted([(m.numerator * (den // m.denominator), c) for m, c in tb.items()])
+    return a, b, den, inf if deg == inf else floor(deg * den)
 
 
 # -- constructors ------------------------------------------------------------
@@ -342,29 +359,94 @@ def twist(f: FracSeries, h: int, e: int = 1) -> FracSeries:
 
 def compose(f: FracSeries, g: FracSeries) -> FracSeries:
     """Substitute g into f. Requires integer exponents on f, and strictly
-    positive integer exponents on g."""
+    positive integer exponents on g.
+
+    Works on dense lists through n = min(deg, max exp(f) * max exp(g)): the
+    powers g^e by `_dense_mul`, and sum_e f_e g^e accumulated in ascending e.
+    """
     f._check_ctx(g)
     if f.max_depth() != 0 or any(m < 0 for m in f._terms):
         raise DomainError("compose requires nonnegative integer exponents on the outer series")
     if g.max_depth() != 0 or any(m <= 0 for m in g._terms):
         raise DomainError("inner series must have strictly positive integer exponents")
     deg = min(f.deg_bound, g.deg_bound)
-    acc = zero_series(f.ctx, deg, max(f.depth_bound, g.depth_bound), f.laurent or g.laurent)
-    gp = from_terms(f.ctx, [(0, 1)], deg, 0)  # g^0
+    if deg < 0:
+        raise DomainError(f"exponent 0 exceeds degree bound {deg}")
+    ctx = f.ctx
+    n = int(max(f._terms, default=0)) * int(max(g._terms, default=0))
+    if deg != inf:
+        n = min(n, floor(deg))
+    gd = _dense(g, n)
+    gp = [None] * (n + 1)  # g^power
+    gp[0] = CycloCoeff.one(ctx)
+    acc = [None] * (n + 1)
     power = 0
     for m, c in f.items():
-        n = int(m)
-        while power < n:
-            gp = gp * g
-            gp = gp.truncate_degree(deg)
+        e = int(m)
+        if e > n:  # g^e starts at q^e
+            break
+        while power < e:
+            gp = _dense_mul(gp, gd, n)
             power += 1
-        acc = acc + gp.scale(c)
-    return acc
+        for i, v in enumerate(gp):
+            if v is None:
+                continue
+            w = v * c
+            s = acc[i]
+            if s is not None:
+                w = s + w
+            acc[i] = None if w.is_zero() else w
+    depth = max(f.depth_bound, g.depth_bound)
+    if f._terms:  # the sum then includes a power of g, whose depth bound is >= 0
+        depth = max(depth, 0)
+    return FracSeries(ctx, _sparse(acc), deg, depth, f.laurent or g.laurent, _trusted=True)
+
+
+def _dense(f: FracSeries, n: int) -> list:
+    """The integer-exponent terms of f through q^n as a list; None marks absent."""
+    out = [None] * (n + 1)
+    for m, c in f._terms.items():
+        if m <= n:
+            out[int(m)] = c
+    return out
+
+
+def _sparse(a: list) -> dict[Fraction, CycloCoeff]:
+    return {Fraction(i): c for i, c in enumerate(a) if c is not None}
+
+
+def _dense_mul(a: list, b: list, n: int) -> list:
+    """a*b through q^n, in the accumulation order of FracSeries.__mul__:
+    a ascending outside, b ascending inside, and a sum that cancels to zero
+    is dropped."""
+    bl = [(j, c) for j, c in enumerate(b) if c is not None]
+    out = [None] * (n + 1)
+    for i, c1 in enumerate(a):
+        if c1 is None:
+            continue
+        for j, c2 in bl:
+            m = i + j
+            if m > n:
+                break
+            c = c1 * c2
+            s = out[m]
+            if s is not None:
+                c = s + c
+            out[m] = None if c.is_zero() else c
+    return out
 
 
 def revert(f: FracSeries) -> FracSeries:
-    """Compositional inverse of f = c1 q + O(q^2) with c1 a unit, by exact
-    term-by-term back-substitution; compose(f, revert(f)) = q up to deg_bound."""
+    """Compositional inverse g of f = c1 q + O(q^2) with c1 a unit;
+    compose(f, g) = q up to deg_bound.
+
+    Back-substitution on a power table P[j][d] = [q^d] g^j (Brent-Kung,
+    J. ACM 1978): at step d, fill P[j][d] = sum_m P[j-1][m] b_(d-m) for
+    j = 2..d, then b_d = -(sum_j P[j][d] a_j) / c1. That is O(n^3)
+    coefficient products, in the order compose(f, g) would perform them.
+    It divides only by the unit c1, so no p-adic digits are spent, as
+    Lagrange's 1/d would spend them.
+    """
     from .coeff import inv as coeff_inv
 
     ctx = f.ctx
@@ -381,14 +463,36 @@ def revert(f: FracSeries) -> FracSeries:
     if f.deg_bound == inf:
         raise DomainError("reversion needs a finite degree bound")
     degree = int(f.deg_bound)
-    g_terms: dict[Fraction, CycloCoeff] = {Fraction(1): c1_inv}
+    a = _dense(f, degree)
+    b = [None] * (degree + 1)
+    b[1] = c1_inv
+    P = [None, b] + [[None] * (degree + 1) for _ in range(2, degree + 1)]
     for d in range(2, degree + 1):
-        g = FracSeries(ctx, g_terms, Fraction(d), 0, False, _trusted=True)
-        err = compose(f.truncate_degree(d), g).coefficient(d)
-        b = -(err * c1_inv)
-        if not b.is_zero():
-            g_terms[Fraction(d)] = b
-    return FracSeries(ctx, g_terms, f.deg_bound, 0, False, _trusted=True)
+        err = None
+        for j in range(2, d + 1):
+            prev = P[j - 1]
+            s = None
+            for m1 in range(j - 1, d):
+                x = prev[m1]
+                y = b[d - m1]
+                if x is None or y is None:
+                    continue
+                c = x * y
+                if s is not None:
+                    c = s + c
+                s = None if c.is_zero() else c
+            P[j][d] = s
+            if s is None or a[j] is None:
+                continue
+            w = s * a[j]
+            if err is not None:
+                w = err + w
+            err = None if w.is_zero() else w
+        if err is not None:
+            bd = -(err * c1_inv)
+            if not bd.is_zero():
+                b[d] = bd
+    return FracSeries(ctx, _sparse(b), f.deg_bound, 0, False, _trusted=True)
 
 
 # -- families ----------------------------------------------------------------

@@ -19,7 +19,7 @@ from math import inf
 
 from .coeff import is_prime
 from .errors import ContextMismatchError, DepthError, DomainError
-from .series import FracSeries, exponent_depth
+from .series import FracSeries, _int_keys, _mul_deg_bound, exponent_depth
 
 
 class CharPSeries:
@@ -99,28 +99,21 @@ class CharPSeries:
                            self.laurent or other.laurent, _trusted=True)
 
     def __mul__(self, other: "CharPSeries") -> "CharPSeries":
+        """Raw integer sums per output exponent, reduced mod p once each;
+        exact, since every partial sum is only ever used mod p."""
         self._check(other)
-        mf = min([*self._terms, self.deg_bound], default=self.deg_bound)
-        mg = min([*other._terms, other.deg_bound], default=other.deg_bound)
-        if self.deg_bound == inf and other.deg_bound == inf:
-            deg = inf
-        else:
-            left = inf if self.deg_bound == inf else self.deg_bound + mg
-            right = inf if other.deg_bound == inf else other.deg_bound + mf
-            deg = min(left, right)
-        out: dict[Fraction, int] = {}
-        for m1, c1 in self._terms.items():
-            for m2, c2 in other._terms.items():
+        p = self.p
+        deg = _mul_deg_bound(self, other)
+        a, b, den, top = _int_keys(self._terms, other._terms, deg)
+        out: dict[int, int] = {}
+        for m1, c1 in a:
+            for m2, c2 in b:
                 m = m1 + m2
-                if m > deg:
-                    continue
-                v = (out.get(m, 0) + c1 * c2) % self.p
-                if v:
-                    out[m] = v
-                else:
-                    out.pop(m, None)
-        return CharPSeries(self.p, dict(sorted(out.items())), deg,
-                           max(self.depth_bound, other.depth_bound),
+                if m > top:
+                    break
+                out[m] = out.get(m, 0) + c1 * c2
+        terms = {Fraction(m, den): v % p for m, v in sorted(out.items()) if v % p}
+        return CharPSeries(p, terms, deg, max(self.depth_bound, other.depth_bound),
                            self.laurent or other.laurent, _trusted=True)
 
 
@@ -211,11 +204,6 @@ class TiltTower:
         return f"TiltTower(depth={self.depth}, f0={self.components[0]!r})"
 
 
-def tower_new(components) -> TiltTower:
-    """Validate p-th power compatibility and build the tower."""
-    return TiltTower(components)
-
-
 def tower_mul(x: TiltTower, y: TiltTower) -> TiltTower:
     """Componentwise product; exact, and compatibility is preserved because
     Frobenius is multiplicative."""
@@ -258,16 +246,10 @@ def sharp(x: TiltTower):
 
 def tower_from_charp(g: CharPSeries, depth: int) -> TiltTower:
     """Component i = frobenius_inv^i(g): the canonical tower presentation of
-    a characteristic-p series, inverse to charp_from_tower."""
+    a characteristic-p series, inverse to sharp."""
     if depth < 1:
         raise ValueError("tower depth must be >= 1")
     comps = [g]
     for _ in range(depth - 1):
         comps.append(frobenius_inv(comps[-1]))
     return TiltTower(comps)
-
-
-def charp_from_tower(x: TiltTower) -> CharPSeries:
-    """Read off component 0; the exponent relabeling between the tilted and
-    untilted parameters is the identity on the data."""
-    return x.components[0]

@@ -34,6 +34,8 @@ class Rank2Value:
         return Rank2Value(self.v + other.v, self.g + other.g)
 
     def generize(self) -> Fraction | float:
+        """Height-1 vertical generization: drop the gamma-component. Composed
+        with v1minus this is the Gauss valuation min val_p(a_n)."""
         return self.v
 
 
@@ -49,12 +51,6 @@ def v1minus(f: FracSeries) -> Rank2Value:
         if best is None or cand < best:
             best = cand
     return best if best is not None else Rank2Value(inf, 0)
-
-
-def generise(val: Rank2Value) -> Fraction | float:
-    """Height-1 vertical generization: drop the gamma-component. Composed
-    with v1minus this is the Gauss valuation min val_p(a_n)."""
-    return val.generize()
 
 
 def in_Fplus(f: FracSeries) -> bool:

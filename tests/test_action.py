@@ -12,7 +12,6 @@ from qcusp.action import (
     canonical_line,
     decompose_gamma,
     ht,
-    mat_mul,
     proj_action,
     splitting_section,
     subgroup_test,
@@ -53,7 +52,7 @@ def random_cusp_point(rng: random.Random, ctx, m: int, e: int = 1) -> CuspPoint:
 
 def test_mat_mul_example():
     g = Mat2(5, 2, 1, 0, 5, 1)
-    assert mat_mul(g, g).entries() == (1, 0, 10, 1)
+    assert (g * g).entries() == (1, 0, 10, 1)
 
 
 def test_mat_rejects_singular():
@@ -94,7 +93,7 @@ def test_decompose_examples():
     g = Mat2(p, m, 2, 1, 5, 1)
     u, h = decompose_gamma(g)
     assert u.entries() == ((2 - 5) % 25, 1, 0, 1) and h == 5
-    assert mat_mul(u, Mat2(p, m, 1, 0, h, 1)) == g
+    assert u * Mat2(p, m, 1, 0, h, 1) == g
 
 
 def test_decompose_needs_unit_d():
@@ -108,7 +107,7 @@ def test_decompose_random_recompose(rng):
             g = random_gamma0p(rng, p, 3)
             u, h = decompose_gamma(g)
             assert u.is_upper()
-            assert mat_mul(u, Mat2(p, 3, 1, 0, h, 1)) == g
+            assert u * Mat2(p, 3, 1, 0, h, 1) == g
 
 
 def test_act_identity_fixes():
@@ -149,7 +148,7 @@ def test_left_action_axiom(p, rng):
         g1 = random_gamma0p(rng, p, m)
         g2 = random_gamma0p(rng, p, m)
         x = random_cusp_point(rng, ctx, m)
-        assert act_cusp(g1, act_cusp(g2, x)) == act_cusp(mat_mul(g1, g2), x)
+        assert act_cusp(g1, act_cusp(g2, x)) == act_cusp(g1 * g2, x)
 
 
 @pytest.mark.parametrize("p", [2, 3])
@@ -159,7 +158,7 @@ def test_quotient_well_defined(p, rng):
     for _ in range(40):
         x = random_cusp_point(rng, ctx, m)
         h = p * rng.randrange(p ** (m - 1))
-        perturbed_gamma = mat_mul(x.gamma, Mat2(p, m, 1, 0, h, 1))
+        perturbed_gamma = x.gamma * Mat2(p, m, 1, 0, h, 1)
         perturbed = CuspPoint.from_representative(perturbed_gamma, twist(x.series, h, x.e), x.e)
         assert perturbed == x
         g1 = random_gamma0p(rng, p, m)

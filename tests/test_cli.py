@@ -117,6 +117,23 @@ def test_bad_generation_flags_are_usage_errors(argv, capsys):
     assert err.startswith("qcusp: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["trace", "--n", "-1", str(GOLDEN / "in_frac.txt")],
+        ["tilt", "--depth", "0", str(GOLDEN / "in_charp.txt")],
+        ["perfection", "--iterations", "-1", str(GOLDEN / "in_charp.txt")],
+    ],
+    ids=["trace-n-negative", "tilt-depth-zero", "perfection-iterations-negative"],
+)
+def test_bad_count_flags_are_usage_errors(argv, capsys):
+    code, out = run_text(argv)
+    assert code == EXIT_USAGE
+    assert out == ""
+    err = capsys.readouterr().err
+    assert err.startswith("qcusp: ") and err.count("\n") == 1
+
+
 def test_ht_rejects_composite_p():
     code, out = run_text(["ht", "--p", "4", "--m", "4", "--gamma", "3,5,0,7"])
     assert code == EXIT_USAGE

@@ -1,12 +1,16 @@
 from fractions import Fraction
+from math import inf
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from qcusp.coeff import CycloCoeff, new_ring, zeta
+from qcusp.coeff import CycloCoeff, inv, new_ring, zeta
 from qcusp.errors import DepthError, DomainError, NotInvertibleError
 from qcusp.series import (
     Exponent,
     FamilySeries,
+    FracSeries,
+    _mul_deg_bound,
     compose,
     from_terms,
     monomial,
@@ -240,3 +244,176 @@ def test_equality_ignores_bounds():
     a = from_terms(CTX, [(1, 5)], 3, 0)
     b = from_terms(CTX, [(1, 5)], 7, 2)
     assert a == b
+
+
+# -- the Fraction-keyed kernels, kept as references for the integer ones -----
+
+
+def reference_mul(f, g):
+    """f*g by the Fraction-keyed loop: f ascending outside, g ascending
+    inside, and a partial sum that collapses to zero is dropped."""
+    deg = _mul_deg_bound(f, g)
+    out = {}
+    for m1, c1 in f.items():
+        for m2, c2 in g.items():
+            m = m1 + m2
+            if m > deg:
+                continue
+            c = c1 * c2
+            if m in out:
+                c = out[m] + c
+            if c.is_zero():
+                out.pop(m, None)
+            else:
+                out[m] = c
+    return FracSeries(f.ctx, dict(sorted(out.items())), deg, max(f.depth_bound, g.depth_bound),
+                      f.laurent or g.laurent, _trusted=True)
+
+
+def reference_compose(f, g):
+    """sum_e f_e g^e with sparse powers, each truncated to the degree bound."""
+    deg = min(f.deg_bound, g.deg_bound)
+    acc = zero_series(f.ctx, deg, max(f.depth_bound, g.depth_bound), f.laurent or g.laurent)
+    gp = from_terms(f.ctx, [(0, 1)], deg, 0)
+    power = 0
+    for m, c in f.items():
+        while power < int(m):
+            gp = reference_mul(gp, g).truncate_degree(deg)
+            power += 1
+        acc = acc + gp.scale(c)
+    return acc
+
+
+def reference_revert(f):
+    """Back-substitution with one full compose per coefficient: b_d is
+    -(q^d coefficient of f(b_1 q + ... + b_(d-1) q^(d-1))) / c1."""
+    c1_inv = inv(f.coefficient(1))
+    g_terms = {Fraction(1): c1_inv}
+    for d in range(2, int(f.deg_bound) + 1):
+        g = FracSeries(f.ctx, g_terms, Fraction(d), 0, False, _trusted=True)
+        err = reference_compose(f.truncate_degree(d), g).coefficient(d)
+        b = -(err * c1_inv)
+        if not b.is_zero():
+            g_terms[Fraction(d)] = b
+    return FracSeries(f.ctx, g_terms, f.deg_bound, 0, False, _trusted=True)
+
+
+def fields(f):
+    """Everything a series carries; FracSeries.__eq__ ignores the bounds and
+    compares coefficients only at their shared precision."""
+    terms = [(m, type(m), c.shift, c.unit, c.prec) for m, c in f._terms.items()]
+    return terms, f.deg_bound, f.depth_bound, f.laurent
+
+
+@st.composite
+def rings(draw):
+    p = draw(st.sampled_from([2, 3, 5]))
+    return new_ring(p, draw(st.integers(1, 6)), draw(st.integers(0, 2 if p < 5 else 1)))
+
+
+@st.composite
+def coeff_pools(draw, ctx):
+    """A few base coefficients; terms reuse them with signs and p-shifts so
+    that partial sums cancel, also in the precision-limited digits."""
+    pool = []
+    for _ in range(draw(st.integers(1, 3))):
+        poly = draw(st.lists(st.integers(-ctx.pk, ctx.pk), min_size=ctx.phi, max_size=ctx.phi).filter(any))
+        c = CycloCoeff.from_poly(ctx, poly, draw(st.integers(-2, 2)))
+        pool.append(c.reduce_precision(draw(st.integers(1, ctx.k))))
+    return pool
+
+
+@st.composite
+def pool_coeffs(draw, ctx, pool):
+    c = draw(st.sampled_from(pool))
+    c = c.p_times(draw(st.sampled_from([0, 0, 1, -1, ctx.k])))
+    return -c if draw(st.booleans()) else c
+
+
+@st.composite
+def degree_bounds(draw, p, low):
+    """inf, or num / p^r with r up to 4, deeper than any term's depth."""
+    if draw(st.integers(0, 4)) == 0:
+        return inf
+    return Fraction(draw(st.integers(low, 40)), p ** draw(st.sampled_from([0, 0, 1, 2, 4])))
+
+
+@st.composite
+def frac_series(draw, ctx, pool, integer=False, positive=False, top=24):
+    p = ctx.p
+    depth = 0 if integer else draw(st.integers(0, 3))
+    laurent = not integer and draw(st.booleans())
+    deg = draw(degree_bounds(p, -4 if laurent else 0))
+    low = 1 if positive else -4 if laurent else 0
+    terms = {}
+    for _ in range(draw(st.integers(0, 10))):
+        m = Fraction(draw(st.integers(low, top)), p ** draw(st.integers(0, depth)))
+        if m <= deg and m >= low:
+            terms[m] = draw(pool_coeffs(ctx, pool))
+    return FracSeries(ctx, terms, deg, depth, laurent)
+
+
+@settings(max_examples=120, deadline=None)
+@given(data=st.data())
+def test_mul_matches_fraction_reference(data):
+    ctx = data.draw(rings())
+    pool = data.draw(coeff_pools(ctx))
+    f = data.draw(frac_series(ctx, pool))
+    g = data.draw(frac_series(ctx, pool))
+    assert fields(f * g) == fields(reference_mul(f, g))
+    assert fields(g * f) == fields(reference_mul(g, f))
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_compose_matches_fraction_reference(data):
+    ctx = data.draw(rings())
+    pool = data.draw(coeff_pools(ctx))
+    f = data.draw(frac_series(ctx, pool, integer=True, top=8))
+    g = data.draw(frac_series(ctx, pool, integer=True, positive=True, top=6))
+    assert fields(compose(f, g)) == fields(reference_compose(f, g))
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_revert_matches_fraction_reference(data):
+    ctx = data.draw(rings())
+    pool = data.draw(coeff_pools(ctx))
+    n = data.draw(st.integers(1, 8))
+    poly = data.draw(st.lists(st.integers(0, ctx.pk - 1), min_size=ctx.phi, max_size=ctx.phi)
+                     .filter(lambda u: sum(u) % ctx.p))
+    c1 = CycloCoeff(ctx, 0, tuple(poly), data.draw(st.integers(1, ctx.k)))
+    terms = {Fraction(1): c1}
+    for d in range(2, n + 1):
+        if data.draw(st.booleans()):
+            terms[Fraction(d)] = data.draw(pool_coeffs(ctx, pool))
+    deg = n + Fraction(data.draw(st.integers(0, ctx.p - 1)), ctx.p)  # fractional bounds floor to n
+    f = FracSeries(ctx, terms, deg, 0, False)
+    assert fields(revert(f)) == fields(reference_revert(f))
+
+
+def test_revert_keeps_the_compose_order():
+    # a_2 known to one digit makes the power-table sums depend on their order
+    # (summing P[j-1][m] b_(d-m) in descending m loses the q^6 term)
+    ctx = new_ring(2, 4, 0)
+    a2 = CycloCoeff.from_int(ctx, -1).reduce_precision(1)
+    f = from_terms(ctx, [(1, 1), (2, a2), (3, 10), (4, -3)], 6, 0)
+    assert fields(revert(f)) == fields(reference_revert(f))
+
+
+def test_mul_partial_sum_collapses_mid_accumulation():
+    # at q^(2/5) the products arrive as a, -a, 7 when f is the outer factor:
+    # a + (-a) collapses to zero and is dropped, so 7 keeps its 4 digits,
+    # while the order 7, -a, a keeps only 1 (ROADMAP item 3); the kernel must
+    # reproduce each order exactly
+    ctx = new_ring(5, 4, 0)
+    a = CycloCoeff.from_int(ctx, 1, shift=-3)
+    f = from_terms(ctx, [(0, 1), ((1, 1), 1), ((2, 1), 1)], 1, 1)
+    g = from_terms(ctx, [(0, 7), ((1, 1), -a), ((2, 1), a)], 1, 1)
+    fg, gf = f * g, g * f
+    assert fields(fg) == fields(reference_mul(f, g))
+    assert fields(gf) == fields(reference_mul(g, f))
+    m = Fraction(2, 5)
+    assert (fg.coefficient(m).unit, fg.coefficient(m).prec) == ((7,), 4)
+    assert (gf.coefficient(m).unit, gf.coefficient(m).prec) == ((2,), 1)
+

@@ -1,15 +1,17 @@
 import random
 from fractions import Fraction
+from math import inf
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qcusp.coeff import CycloCoeff, new_ring
 from qcusp.errors import ContextMismatchError, DepthError, DomainError
-from qcusp.series import from_terms
+from qcusp.series import _mul_deg_bound, from_terms
 from qcusp.tiltperf import (
     CharPSeries,
+    TiltTower,
     charp_from_terms,
-    charp_from_tower,
     frobenius,
     frobenius_inv,
     reduce_mod_p,
@@ -17,7 +19,6 @@ from qcusp.tiltperf import (
     tower_add,
     tower_from_charp,
     tower_mul,
-    tower_new,
 )
 
 
@@ -65,10 +66,10 @@ def test_frobenius_inv_depth_overflow():
 def test_tower_validation():
     assert q_tower(2, 6).depth == 6
     one = charp_from_terms(2, [(0, 1)], 8, 6)
-    tower_new([one] * 4)
+    TiltTower([one] * 4)
     q = charp_from_terms(2, [(1, 1)], 8, 6)
     with pytest.raises(DomainError) as err:
-        tower_new([q, q])
+        TiltTower([q, q])
     assert "index 0" in str(err.value)
 
 
@@ -81,7 +82,7 @@ def test_q_tower_components():
 def test_sharp():
     t = q_tower(3, 4)
     assert sharp(t) == charp_from_terms(3, [(1, 1)], 8, 4)
-    one_tower = tower_new([charp_from_terms(5, [(0, 1)], 4, 3)] * 3)
+    one_tower = TiltTower([charp_from_terms(5, [(0, 1)], 4, 3)] * 3)
     assert sharp(one_tower) == charp_from_terms(5, [(0, 1)], 4, 3)
 
 
@@ -121,9 +122,9 @@ def test_tower_add_preserves_compatibility(rng):
         x = tower_from_charp(random_charp(rng, 3, headroom=8), 4)
         y = tower_from_charp(random_charp(rng, 3, headroom=8), 4)
         total = tower_add(x, y)
-        tower_new(total.components)  # revalidate
+        TiltTower(total.components)  # revalidate
         prod = tower_mul(x, y)
-        tower_new(prod.components)
+        TiltTower(prod.components)
 
 
 def test_tower_depth_mismatch():
@@ -138,8 +139,8 @@ def test_charp_tower_roundtrip(rng):
         for _ in range(10):
             g = random_charp(rng, p, headroom=8)
             t = tower_from_charp(g, 4)
-            assert charp_from_tower(t) == g
-            assert tower_from_charp(charp_from_tower(t), 4) == t
+            assert sharp(t) == g
+            assert tower_from_charp(sharp(t), 4) == t
 
 
 def test_tower_from_charp_intertwines_shift(rng):
@@ -175,3 +176,65 @@ def test_reduce_mod_p_is_ring_map(rng):
         g = random_series(rng, ctx, 3, 1)
         assert reduce_mod_p(f * g) == reduce_mod_p(f) * reduce_mod_p(g)
         assert reduce_mod_p(f + g) == reduce_mod_p(f) + reduce_mod_p(g)
+
+
+def reference_charp_mul(f, g):
+    """f*g by the Fraction-keyed loop, reducing mod p after every product."""
+    deg = _mul_deg_bound(f, g)
+    out = {}
+    for m1, c1 in f.items():
+        for m2, c2 in g.items():
+            m = m1 + m2
+            if m > deg:
+                continue
+            v = (out.get(m, 0) + c1 * c2) % f.p
+            if v:
+                out[m] = v
+            else:
+                out.pop(m, None)
+    return CharPSeries(f.p, dict(sorted(out.items())), deg, max(f.depth_bound, g.depth_bound),
+                       f.laurent or g.laurent, _trusted=True)
+
+
+def fields(f):
+    terms = [(m, type(m), c) for m, c in f._terms.items()]
+    return terms, f.deg_bound, f.depth_bound, f.laurent
+
+
+@st.composite
+def charp_series(draw, p):
+    """Mixed depths, Laurent poles, and degree bounds that are inf or
+    deeper than every term (denominators up to p^4)."""
+    depth = draw(st.integers(0, 3))
+    laurent = draw(st.booleans())
+    low = -4 if laurent else 0
+    if draw(st.integers(0, 4)) == 0:
+        deg = inf
+    else:
+        deg = Fraction(draw(st.integers(low, 40)), p ** draw(st.sampled_from([0, 0, 1, 2, 4])))
+    terms = {}
+    for _ in range(draw(st.integers(0, 14))):
+        m = Fraction(draw(st.integers(low, 30)), p ** draw(st.integers(0, depth)))
+        if m <= deg:
+            terms[m] = draw(st.integers(-p, 3 * p))  # multiples of p are dropped
+    return CharPSeries(p, terms, deg, depth, laurent)
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_charp_mul_matches_fraction_reference(data):
+    p = data.draw(st.sampled_from([2, 3, 5]))
+    f = data.draw(charp_series(p))
+    g = data.draw(charp_series(p))
+    assert fields(f * g) == fields(reference_charp_mul(f, g))
+    assert fields(g * f) == fields(reference_charp_mul(g, f))
+
+
+def test_charp_mul_partial_sum_collapses_mid_accumulation():
+    # at q^1 the products arrive as 1, 2, 1 mod 3: the first two cancel and
+    # are dropped before the third lands
+    f = charp_from_terms(3, [(0, 1), (Fraction(1, 3), 1), (1, 1)], 2, 1)
+    g = charp_from_terms(3, [(0, 1), (Fraction(2, 3), 2), (1, 1)], 2, 1)
+    assert fields(f * g) == fields(reference_charp_mul(f, g))
+    assert (f * g).coefficient(1) == 1
+
