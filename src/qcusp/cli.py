@@ -9,6 +9,7 @@ environment-dependent is printed.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 from .action import CuspPoint, Mat2, ProjPoint, act_cusp
@@ -134,7 +135,11 @@ def _add_global_options(parser, default, skip=()) -> None:
         parser.add_argument("--deg", default=default, help="degree bound")
 
 
+@functools.cache
 def build_parser() -> _Parser:
+    """The command line parser, built once per process: building it costs
+    tens of times as much as one parse, and parsing leaves no state in it
+    (usage and help are formatted, and sys.stderr read, at call time)."""
     parser = _Parser(prog="qcusp", description="Exact arithmetic for fractional-exponent q-expansions at the cusps of p-adic modular curves.")
     _add_global_options(parser, default=None)
     sub = parser.add_subparsers(dest="command", required=True)

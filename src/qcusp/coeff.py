@@ -21,6 +21,13 @@ and one Kronecker-packed big-int multiply for larger phi; multiplication by
 a root of unity is a rotation mod x^(p^s) - 1; `inv` is a Newton lift built
 on the product.
 
+Normal form: the truncating constructor reduces the raw unit mod p^prec and
+finds its p-content p^t from one gcd of the entries, then divides by p^t
+once. A sum aligns its operands by scaling only the one with the larger
+shift. Products at phi = 1 skip the constructor's normalization: a product
+of two p-free residues is a p-free residue. At phi > 1 they do not, since two
+multiples of pi = zeta - 1 can multiply to a multiple of p.
+
 The pseudo-uniformizer with compatible p-power roots that a perfectoid base
 field would provide is not representable at finite cyclotomic depth; p
 itself plays that role throughout.
@@ -31,7 +38,7 @@ from __future__ import annotations
 import sys
 from array import array
 from fractions import Fraction
-from math import inf
+from math import gcd, inf
 
 from .errors import ContextMismatchError, DepthError, NotInvertibleError
 
@@ -201,17 +208,22 @@ class CycloCoeff:
             return
         p = ctx.p
         m = p**prec
-        unit = tuple(v % m for v in unit)
-        if all(v == 0 for v in unit):
+        unit = [v % m for v in unit]
+        g = gcd(*unit)
+        if g == 0:
             self.shift, self.unit, self.prec = 0, (0,) * ctx.phi, ctx.k
             return
-        while all(v % p == 0 for v in unit):
-            unit = tuple(v // p for v in unit)
-            shift += 1
-            prec -= 1
-        self.shift = shift
-        self.unit = unit
-        self.prec = prec
+        t = 0
+        while g % p == 0:
+            g //= p
+            t += 1
+        if t:
+            # g < p^prec, so t < prec and at least one digit survives
+            q = p**t
+            unit = [v // q for v in unit]
+        self.shift = shift + t
+        self.unit = tuple(unit)
+        self.prec = prec - t
 
     # -- constructors ------------------------------------------------------
 
@@ -254,7 +266,7 @@ class CycloCoeff:
     # -- predicates --------------------------------------------------------
 
     def is_zero(self) -> bool:
-        return all(v == 0 for v in self.unit)
+        return not any(self.unit)
 
     def __bool__(self) -> bool:
         return not self.is_zero()
@@ -298,22 +310,27 @@ class CycloCoeff:
     # -- arithmetic --------------------------------------------------------
 
     def _check_ctx(self, other: "CycloCoeff") -> None:
-        if self.ctx != other.ctx:
+        if self.ctx is not other.ctx and self.ctx != other.ctx:
             raise ContextMismatchError(f"context mismatch: {self.ctx} vs {other.ctx}")
 
     def __add__(self, other: "CycloCoeff") -> "CycloCoeff":
         self._check_ctx(other)
-        if self.is_zero():
+        ctx = self.ctx
+        if not any(self.unit):
             return other
-        if other.is_zero():
+        if not any(other.unit):
             return self
-        t = min(self.shift, other.shift)
-        fa = self.ctx.p ** (self.shift - t)
-        fb = self.ctx.p ** (other.shift - t)
-        unit = tuple(a * fa + b * fb for a, b in zip(self.unit, other.unit))
-        # reliable absolute precision of the sum, re-expressed at shift t
-        prec = min(self.shift + self.prec, other.shift + other.prec) - t
-        return CycloCoeff(self.ctx, t, unit, prec)
+        # align at the smaller shift by scaling only the operand with the
+        # larger one; the reliable absolute precision
+        # min(s_a + prec_a, s_b + prec_b) is re-expressed at the smaller shift
+        lo, hi = (self, other) if self.shift <= other.shift else (other, self)
+        d = hi.shift - lo.shift
+        if d:
+            f = ctx.p**d
+            unit = [a + b * f for a, b in zip(lo.unit, hi.unit)]
+        else:
+            unit = [a + b for a, b in zip(lo.unit, hi.unit)]
+        return CycloCoeff(ctx, lo.shift, unit, min(lo.prec, hi.prec + d))
 
     def __neg__(self) -> "CycloCoeff":
         if self.is_zero():
@@ -326,11 +343,13 @@ class CycloCoeff:
 
     def __mul__(self, other: "CycloCoeff") -> "CycloCoeff":
         self._check_ctx(other)
-        if self.is_zero() or other.is_zero():
-            return CycloCoeff.zero(self.ctx)
+        ctx = self.ctx
+        if not any(self.unit) or not any(other.unit):
+            return CycloCoeff.zero(ctx)
         prec = min(self.prec, other.prec)
-        unit = _unit_mul(self.ctx, self.unit, other.unit, self.ctx.p**prec)
-        return CycloCoeff(self.ctx, self.shift + other.shift, unit, prec)
+        unit = _unit_mul(ctx, self.unit, other.unit, ctx.p**prec)
+        # at phi = 1 the product is already in normal form (module docstring)
+        return CycloCoeff(ctx, self.shift + other.shift, unit, prec, _normalized=ctx.phi == 1)
 
     def mul_zeta_power(self, n: int, e: int) -> "CycloCoeff":
         """Multiply by zeta_{p^n}^e, the designated primitive p^n-th unit root:

@@ -174,11 +174,13 @@ class TiltTower:
 
     __slots__ = ("depth", "components", "effective_depth")
 
-    def __init__(self, components, effective_depth: int | None = None):
+    def __init__(self, components, effective_depth: int | None = None, *, _trusted: bool = False):
         components = tuple(components)
         if not components:
             raise ValueError("a tower needs at least one component")
-        for i in range(len(components) - 1):
+        # `_trusted` is passed only by tower_mul, tower_add and
+        # tower_from_charp, whose results are compatible by construction
+        for i in range(0 if _trusted else len(components) - 1):
             if frobenius(components[i + 1]) != components[i]:
                 got = frobenius(components[i + 1])
                 want = components[i]
@@ -210,7 +212,7 @@ def tower_mul(x: TiltTower, y: TiltTower) -> TiltTower:
     if x.depth != y.depth:
         raise DomainError("tower depth mismatch")
     comps = [a * b for a, b in zip(x.components, y.components)]
-    return TiltTower(comps, min(x.effective_depth, y.effective_depth))
+    return TiltTower(comps, min(x.effective_depth, y.effective_depth), _trusted=True)
 
 
 def tower_add(x: TiltTower, y: TiltTower) -> TiltTower:
@@ -235,7 +237,7 @@ def tower_add(x: TiltTower, y: TiltTower) -> TiltTower:
         if naive[i] != comps[i]:
             steps = max(steps, T - i)
     eff = min(x.effective_depth, y.effective_depth, T - steps)
-    return TiltTower(comps, eff)
+    return TiltTower(comps, eff, _trusted=True)
 
 
 def sharp(x: TiltTower):
@@ -252,4 +254,4 @@ def tower_from_charp(g: CharPSeries, depth: int) -> TiltTower:
     comps = [g]
     for _ in range(depth - 1):
         comps.append(frobenius_inv(comps[-1]))
-    return TiltTower(comps)
+    return TiltTower(comps, _trusted=True)

@@ -48,6 +48,28 @@ def test_golden_second_run_identical(argv, golden, expected_code):
     assert first == second
 
 
+USAGE_ERRORS = [
+    ["trace", str(GOLDEN / "in_frac.txt")],  # missing --n
+    ["nonsense"],
+    ["ht", "--p", "2", "--m", "4", "--gamma", "3,5,1,7"],  # not upper
+]
+
+
+def test_parser_keeps_no_state_between_runs(capsys):
+    # the parser is built once per process: golden runs in both orders, with
+    # usage errors between them, must give the same bytes every time
+    errors = []
+    for order in (CASES, CASES[::-1]):
+        for argv, golden, expected_code in order:
+            assert run_text(argv) == (expected_code, (GOLDEN / golden).read_text())
+            for bad in USAGE_ERRORS:
+                capsys.readouterr()
+                assert run_text(bad) == (EXIT_USAGE, "")
+                errors.append(capsys.readouterr().err)
+    assert all(err.startswith("usage: qcusp") for err in errors)
+    assert errors == errors[: len(USAGE_ERRORS)] * (2 * len(CASES))
+
+
 def test_insertion_order_independence(tmp_path):
     base = (GOLDEN / "in_frac.txt").read_text().splitlines()
     header, terms = base[:9], base[9:]

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qcusp.coeff import _KRONECKER_MIN_PHI, CycloCoeff, _reduce, _unit_mul, inv, is_prime, new_ring, val_p, zeta
-from qcusp.errors import DepthError, NotInvertibleError
+from qcusp.errors import ContextMismatchError, DepthError, NotInvertibleError
 
 from conftest import random_coeff
 
@@ -328,3 +328,117 @@ def test_inv_rejects_exactly_the_ramified(p, s, data):
             inv(a)
     else:
         assert a * inv(a) == CycloCoeff.one(ctx)
+
+
+# -- the normal form against the digit-at-a-time references -------------------
+
+
+def fields(c):
+    return c.shift, c.unit, c.prec
+
+
+def reference_normalize(ctx, shift, unit, prec=None):
+    """(shift, unit, prec) of the truncating constructor, pulling out p-content
+    one digit at a time."""
+    zero = (0, (0,) * ctx.phi, ctx.k)
+    prec = ctx.k if prec is None else min(prec, ctx.k)
+    if prec <= 0:
+        return zero
+    p = ctx.p
+    m = p**prec
+    unit = tuple(v % m for v in unit)
+    if all(v == 0 for v in unit):
+        return zero
+    while all(v % p == 0 for v in unit):
+        unit = tuple(v // p for v in unit)
+        shift += 1
+        prec -= 1
+    return shift, unit, prec
+
+
+def reference_add(a, b):
+    """The sum aligned at the smaller shift by scaling both operands."""
+    if all(v == 0 for v in a.unit):
+        return fields(b)
+    if all(v == 0 for v in b.unit):
+        return fields(a)
+    ctx = a.ctx
+    t = min(a.shift, b.shift)
+    fa = ctx.p ** (a.shift - t)
+    fb = ctx.p ** (b.shift - t)
+    unit = tuple(x * fa + y * fb for x, y in zip(a.unit, b.unit))
+    prec = min(a.shift + a.prec, b.shift + b.prec) - t
+    return reference_normalize(ctx, t, unit, prec)
+
+
+def reference_coeff_mul(a, b):
+    """The product renormalized by the truncating constructor at every phi."""
+    ctx = a.ctx
+    if all(v == 0 for v in a.unit) or all(v == 0 for v in b.unit):
+        return 0, (0,) * ctx.phi, ctx.k
+    prec = min(a.prec, b.prec)
+    unit = reference_mul(ctx, a.unit, b.unit, ctx.p**prec)
+    return reference_normalize(ctx, a.shift + b.shift, unit, prec)
+
+
+@st.composite
+def raw_coeff_args(draw, ctx):
+    """(shift, unit, prec) constructor arguments: units with p-content up to
+    p^(k+1) or all zero, entries of either sign beyond p^k, prec from -1 to
+    k + 2 or absent, shifts from -3 to 3."""
+    if draw(st.integers(0, 5)) == 0:
+        unit = (0,) * ctx.phi
+    else:
+        content = ctx.p ** draw(st.integers(0, ctx.k + 1))
+        entries = st.integers(-ctx.pk * ctx.p, ctx.pk * ctx.p)
+        unit = tuple(content * v for v in draw(st.lists(entries, min_size=ctx.phi, max_size=ctx.phi)))
+    prec = draw(st.none() | st.integers(-1, ctx.k + 2))
+    return draw(st.integers(-3, 3)), unit, prec
+
+
+@pytest.mark.parametrize("p,s", RINGS)
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_normal_form_matches_reference(p, s, data):
+    ctx = new_ring(p, data.draw(st.integers(1, 8)), s)
+    args = [data.draw(raw_coeff_args(ctx)) for _ in range(2)]
+    for shift, unit, prec in args:
+        assert fields(CycloCoeff(ctx, shift, unit, prec)) == reference_normalize(ctx, shift, unit, prec)
+    a, b = (CycloCoeff(ctx, *arg) for arg in args)
+    assert fields(a + b) == reference_add(a, b)
+    assert fields(b + a) == reference_add(b, a)
+    assert fields(a - b) == reference_add(a, -b)
+    assert fields(a * b) == reference_coeff_mul(a, b)
+    # a pair that cancels to zero, and a sum that cancels back to b
+    assert fields(a + (-a)) == (0, (0,) * ctx.phi, ctx.k)
+    total = a + b
+    assert fields(total + (-a)) == reference_add(total, -a)
+
+
+@pytest.mark.parametrize("p,s", [(p, s) for p, s in RINGS if new_ring(p, 1, s).phi > 1])
+@settings(max_examples=15, deadline=None)
+@given(data=st.data())
+def test_mul_extracts_p_from_pi_multiples(p, s, data):
+    # pi = zeta_{p^s} - 1 has valuation 1/phi, so pi^i w * pi^j w' with
+    # i, j < phi <= i + j is a multiple of p that the product must normalize
+    ctx, prec = data.draw(ring_and_precision(p, s, min_k=3))
+    pi = zeta(ctx, s) - CycloCoeff.one(ctx)
+    i = data.draw(st.integers(1, ctx.phi - 1))
+    j = data.draw(st.integers(ctx.phi - i, ctx.phi - 1))
+    a = pi**i * data.draw(units(ctx, prec))
+    b = pi**j * data.draw(units(ctx, prec))
+    got = a * b
+    assert fields(got) == reference_coeff_mul(a, b)
+    assert got.is_zero() or got.shift > a.shift + b.shift
+
+
+def test_context_check_is_by_value():
+    a = CycloCoeff.from_int(new_ring(3, 4, 1), 2)
+    b = CycloCoeff.from_int(new_ring(3, 4, 1), 5, shift=1)  # a distinct, equal context
+    assert a.ctx is not b.ctx
+    assert fields(a + b) == reference_add(a, b)
+    assert fields(a * b) == reference_coeff_mul(a, b)
+    c = CycloCoeff.from_int(new_ring(3, 5, 1), 2)
+    for op in (lambda x, y: x + y, lambda x, y: x * y):
+        with pytest.raises(ContextMismatchError):
+            op(a, c)

@@ -238,3 +238,33 @@ def test_charp_mul_partial_sum_collapses_mid_accumulation():
     assert fields(f * g) == fields(reference_charp_mul(f, g))
     assert (f * g).coefficient(1) == 1
 
+
+@st.composite
+def tower_base(draw, p, depth):
+    """A series whose terms have depth <= 2 under a depth bound with room for
+    `depth` - 1 p-th roots."""
+    terms = {}
+    for _ in range(draw(st.integers(0, 8))):
+        terms[Fraction(draw(st.integers(0, 20)), p ** draw(st.integers(0, 2)))] = draw(st.integers(1, p - 1))
+    deg = draw(st.sampled_from([inf, 20, 40]))
+    return CharPSeries(p, terms, deg, 2 + depth)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_tower_operations_build_compatible_towers(data):
+    # the tower operations skip revalidation; their results must pass it
+    p = data.draw(st.sampled_from([2, 3, 5]))
+    depth = data.draw(st.integers(1, 4))
+    x = tower_from_charp(data.draw(tower_base(p, depth)), depth)
+    y = tower_from_charp(data.draw(tower_base(p, depth)), depth)
+    for r in (x, y, tower_mul(x, y), tower_add(x, y)):
+        TiltTower(list(r.components))
+    # a unit c q^0 added to one component breaks compatibility just below it
+    if depth > 1:
+        i = data.draw(st.integers(0, depth - 2))
+        c = data.draw(st.integers(1, p - 1))
+        comps = list(x.components)
+        comps[i + 1] = comps[i + 1] + charp_from_terms(p, [(0, c)], inf, comps[i + 1].depth_bound)
+        with pytest.raises(DomainError, match=f"index {i}:"):
+            TiltTower(comps)
