@@ -13,6 +13,13 @@ reversion q(w) of w = 1/j comes from Lagrange inversion,
 b_d = (1/d) [q^(d-1)] (q*j)^d, with the powers split into baby and giant
 steps (Brent-Kung). Every series product is one Kronecker-packed big-int
 product (`_int_mul`).
+
+b_d grows by about 10.8 bits per term, so `j_inverse_series` runs the same
+inversion mod p^(k+G) with G guard digits instead of over Z. It keeps the
+residues only when each one pins the p-adic valuation of b_d and k digits
+of its unit part, so the series is the same, field for field, as the
+reduction of the exact b_d; otherwise it widens G, and past a cap it uses
+the exact b_d.
 """
 
 from __future__ import annotations
@@ -62,9 +69,11 @@ def _int_mul(a: list[int], b: list[int], n: int) -> list[int]:
 def _pack(a: list[int], width: int) -> int:
     """sum a_i 2^(8*width*i) for signed a_i with |a_i| < 2^(8*width)."""
     zero = bytes(width)
-    pos = b"".join([c.to_bytes(width, "little") if c > 0 else zero for c in a])
+    pos = int.from_bytes(b"".join([c.to_bytes(width, "little") if c > 0 else zero for c in a]), "little")
+    if min(a) >= 0:  # residues and the powers of q*j have no negative part
+        return pos
     neg = b"".join([(-c).to_bytes(width, "little") if c < 0 else zero for c in a])
-    return int.from_bytes(pos, "little") - int.from_bytes(neg, "little")
+    return pos - int.from_bytes(neg, "little")
 
 
 def _int_inverse(a: list[int], n: int) -> list[int]:
@@ -168,7 +177,7 @@ def one_over_j_coefficients(n_terms: int) -> list[int]:
     return _int_inverse(jc, n_terms - 1)
 
 
-def j_inverse_coefficients(n_terms: int) -> list[int]:
+def j_inverse_coefficients(n_terms: int, p: int | None = None, digits: int = 0) -> list[int]:
     """Coefficients b_1, ..., b_n of the reversion q(w) = w + 744 w^2 + ...
     of 1/j, exact over Z by Lagrange inversion.
 
@@ -177,31 +186,88 @@ def j_inverse_coefficients(n_terms: int) -> list[int]:
     r = ceil(sqrt(n)): r baby steps h^c and about n/r giant steps h^(r*a),
     each one `_int_mul` through degree n-1, leave one length-d dot product
     and one exact division per b_d.
+
+    Given a prime p, the same steps run mod M = p^digits: h and every
+    product are reduced mod M. Then c_d = [q^(d-1)] h^d mod M is d*b_d
+    mod M. For d = p^v * u with u prime to p, c_d is divided exactly by
+    p^v and multiplied by u^(-1) mod p^(digits-v). Entry d-1 is then
+    b_d mod p^(digits - v_p(d)), in [0, p^(digits - v_p(d))); digits must
+    exceed v_p(d) for every d <= n.
     """
     h = j_coefficients(n_terms)[:n_terms]
     top = n_terms - 1
+    modulus = None if p is None else p**digits
+    if modulus is not None:
+        h = [c % modulus for c in h]
+
+    def mul(a: list[int], b: list[int]) -> list[int]:
+        out = _int_mul(a, b, top)
+        return out if modulus is None else [c % modulus for c in out]
+
     r = math.isqrt(n_terms - 1) + 1
     one = [1] + [0] * top
     baby = [one]
     for _ in range(r):
-        baby.append(_int_mul(baby[-1], h, top))
+        baby.append(mul(baby[-1], h))
     giant = [one]
     for _ in range(n_terms // r):
-        giant.append(_int_mul(giant[-1], baby[r], top))
+        giant.append(mul(giant[-1], baby[r]))
     out = []
     for d in range(1, n_terms + 1):
         a, c = divmod(d, r)
-        coeff, rem = divmod(sum(map(operator.mul, giant[a][:d], reversed(baby[c][:d]))), d)
+        total = sum(map(operator.mul, giant[a][:d], reversed(baby[c][:d])))
+        if modulus is None:
+            coeff, rem = divmod(total, d)
+        else:
+            v, u = _split_p(d, p)
+            coeff, rem = divmod(total % modulus, p**v)
+            m = p ** (digits - v)
+            coeff = coeff * pow(u, -1, m) % m
         if rem:
             raise AssertionError("j reversion lost its exact division")
         out.append(coeff)
     return out
 
 
+def _split_p(n: int, p: int) -> tuple[int, int]:
+    """(v, u) with n = p^v * u and u prime to p, for n != 0."""
+    v = 0
+    while n % p == 0:
+        n //= p
+        v += 1
+    return v, n
+
+
+# Largest guard width j_inverse_series tries before it falls back to the
+# exact reversion. Doubling from floor(log_p n) + 2 reaches 36 for p = 2 at
+# n = 200 and at most 12 for p >= 3 at n <= 200.
+_MAX_GUARD = 64
+
+
 def j_inverse_series(ctx: RingContext, terms: int) -> FracSeries:
     """The reversion q(w) in Z[[w]] with 1/j(q(w)) = w + O(w^(terms+1)),
-    reduced into ctx. The variable of the returned series is w = 1/j."""
-    coeffs = j_inverse_coefficients(terms)
+    reduced into ctx. The variable of the returned series is w = 1/j.
+
+    The reversion runs mod p^(k+G) with G guard digits, starting from
+    G = floor(log_p terms) + 2. Residue r_d is b_d mod p^(k+G-v_p(d)). It is
+    accepted when r_d != 0 and v_p(r_d) + v_p(d) <= G. Then v_p(r_d) is
+    v_p(b_d) and at least k digits of b_d / p^(v_p(b_d)) are known, so
+    `CycloCoeff.from_int(ctx, r_d)` equals `from_int(ctx, b_d)` in shift,
+    unit and prec, and the output is the same as from the exact b_d. If any
+    residue fails, G doubles; beyond `_MAX_GUARD` the exact reversion over Z
+    is used.
+    """
+    p = ctx.p
+    guard = 2  # floor(log_p terms) + 2
+    while p ** (guard - 1) <= terms:
+        guard += 1
+    while guard <= _MAX_GUARD:
+        coeffs = j_inverse_coefficients(terms, p, ctx.k + guard)
+        if all(r and _split_p(r, p)[0] + _split_p(d, p)[0] <= guard for d, r in enumerate(coeffs, 1)):
+            break
+        guard *= 2
+    else:
+        coeffs = j_inverse_coefficients(terms)
     return _reduce_int_series(ctx, [0] + coeffs, 0, laurent=False)
 
 
@@ -211,6 +277,14 @@ def tate_parameter_from_j(jval: CycloCoeff) -> CycloCoeff:
     Evaluates the reversion series at w = 1/jval; the series converges
     because val_p(w) > 0, and summation stops once the tail falls below the
     representable precision. val_p(result) = -val_p(jval).
+
+    Ramified j-values are not yet covered: when the unit part of jval is a
+    multiple of zeta - 1, as for jval = (zeta_3 - 1)/3, `inv` cannot invert
+    it and this raises NotInvertibleError.
+
+    The b_d come from the exact reversion: at n_max <= k + 1 terms the
+    exact integers are small, and the guard-digit loop of `j_inverse_series`
+    does not pay for itself.
     """
     ctx = jval.ctx
     v = val_p(jval)

@@ -112,15 +112,16 @@ class FracSeries:
     # -- inspection --------------------------------------------------------
 
     def items(self) -> list[tuple[Fraction, CycloCoeff]]:
-        """Terms in increasing exponent order."""
-        return sorted(self._terms.items())
+        """Terms in increasing exponent order, the order every constructor
+        stores them in."""
+        return list(self._terms.items())
 
     def coefficient(self, m) -> CycloCoeff:
         key = as_exponent(m, self.ctx.p)
         return self._terms.get(key, CycloCoeff.zero(self.ctx))
 
     def exponents(self) -> list[Fraction]:
-        return sorted(self._terms)
+        return list(self._terms)
 
     def is_zero(self) -> bool:
         return not self._terms

@@ -56,7 +56,9 @@ class CharPSeries:
         self._terms = dict(sorted(clean.items()))
 
     def items(self) -> list[tuple[Fraction, int]]:
-        return sorted(self._terms.items())
+        """Terms in increasing exponent order, the order every constructor
+        stores them in."""
+        return list(self._terms.items())
 
     def coefficient(self, m) -> int:
         return self._terms.get(Fraction(m), 0)

@@ -22,6 +22,8 @@ def run_text(argv: list[str]) -> tuple[int, str]:
 CASES = [
     (["jseries", "--p", "5", "--k", "6", "--s", "1", "--terms", "6"], "out_jseries.txt", EXIT_YES),
     (["revert-j", "--p", "5", "--k", "8", "--s", "0", "--terms", "6"], "out_revertj.txt", EXIT_YES),
+    # the reversion mod 2^(12+G) needs one doubling of G to pin every shift
+    (["revert-j", "--p", "2", "--k", "12", "--s", "1", "--terms", "40"], "out_revertj_p2.txt", EXIT_YES),
     (["trace", "--n", "1", str(GOLDEN / "in_frac.txt")], "out_trace.txt", EXIT_YES),
     (["check-extends", str(GOLDEN / "in_laurent.txt")], "out_checkextends.txt", EXIT_NO),
     (["level", str(GOLDEN / "in_frac.txt")], "out_level.txt", EXIT_YES),
@@ -34,14 +36,24 @@ CASES = [
 ]
 
 
-@pytest.mark.parametrize("argv,golden,expected_code", CASES, ids=[c[0][0] for c in CASES])
+def case_id(argv: list[str], golden: str) -> str:
+    """The subcommand, tagged by the golden's suffix when one subcommand has
+    several goldens: out_revertj_p2.txt gives revert-j-p2."""
+    tag = Path(golden).stem.split("_", 2)[2:]
+    return "-".join([argv[0], *tag])
+
+
+CASE_IDS = [case_id(argv, golden) for argv, golden, _ in CASES]
+
+
+@pytest.mark.parametrize("argv,golden,expected_code", CASES, ids=CASE_IDS)
 def test_golden(argv, golden, expected_code):
     code, text = run_text(argv)
     assert code == expected_code
     assert text == (GOLDEN / golden).read_text()
 
 
-@pytest.mark.parametrize("argv,golden,expected_code", CASES, ids=[c[0][0] for c in CASES])
+@pytest.mark.parametrize("argv,golden,expected_code", CASES, ids=CASE_IDS)
 def test_golden_second_run_identical(argv, golden, expected_code):
     first = run_text(argv)
     second = run_text(argv)

@@ -2,14 +2,17 @@
 naive-convolution oracle and the classical coefficient values."""
 
 from fractions import Fraction
+from functools import cache
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from qcusp.coeff import CycloCoeff, inv, new_ring, val_p
+from qcusp import modular
 from qcusp.errors import DomainError
 from qcusp.modular import (
     _int_mul,
+    _reduce_int_series,
     delta_series,
     eisenstein4_coefficients,
     eisenstein4_series,
@@ -238,3 +241,88 @@ def back_substitution_reversion(n_terms: int) -> list[int]:
 def test_reversion_matches_back_substitution():
     for n in range(1, 41):
         assert j_inverse_coefficients(n) == back_substitution_reversion(n)
+
+
+@cache
+def exact_reversion() -> tuple[int, ...]:
+    """b_1, ..., b_200 over Z; b_d does not depend on the number of terms."""
+    return tuple(j_inverse_coefficients(200))
+
+
+def vp(n: int, p: int) -> int:
+    v = 0
+    while n % p == 0:
+        n //= p
+        v += 1
+    return v
+
+
+def fields(f):
+    terms = [(m, c.shift, c.unit, c.prec) for m, c in f._terms.items()]
+    return terms, f.deg_bound, f.depth_bound, f.laurent
+
+
+def exact_series(ctx, n: int):
+    return _reduce_int_series(ctx, [0, *exact_reversion()[:n]], 0, laurent=False)
+
+
+@settings(max_examples=40, deadline=None)
+@given(p=st.sampled_from([2, 3, 5, 7]), s=st.integers(0, 2), k=st.integers(1, 12), n=st.integers(1, 200))
+@example(p=2, s=0, k=1, n=200)
+@example(p=3, s=2, k=12, n=200)
+@example(p=7, s=2, k=1, n=1)
+def test_j_inverse_series_matches_exact_reversion(p, s, k, n):
+    ctx = new_ring(p, k, s)
+    assert fields(j_inverse_series(ctx, n)) == fields(exact_series(ctx, n))
+
+
+@settings(max_examples=40, deadline=None)
+@given(p=st.sampled_from([2, 3, 5, 7, 11]), data=st.data())
+def test_modular_reversion_is_exact_mod_p_power(p, data):
+    # entry d-1 is b_d mod p^(digits - v_p(d)), reduced into [0, that modulus)
+    n = data.draw(st.integers(1, 120))
+    top = 0
+    while p ** (top + 1) <= n:
+        top += 1
+    digits = data.draw(st.integers(top + 1, 40))
+    got = j_inverse_coefficients(n, p, digits)
+    assert got == [b % p ** (digits - vp(d, p)) for d, b in enumerate(exact_reversion()[:n], 1)]
+
+
+def spy_reversion(monkeypatch) -> list[tuple]:
+    calls = []
+    real = modular.j_inverse_coefficients
+
+    def spy(n_terms, p=None, digits=0):
+        calls.append((n_terms, p, digits))
+        return real(n_terms, p, digits)
+
+    monkeypatch.setattr(modular, "j_inverse_coefficients", spy)
+    return calls
+
+
+@pytest.mark.parametrize("p,n,guard", [(7, 1, 2), (7, 6, 2), (7, 7, 3), (5, 100, 4), (2, 40, 7)])
+def test_j_inverse_series_first_guard(monkeypatch, p, n, guard):
+    # G starts at floor(log_p n) + 2
+    calls = spy_reversion(monkeypatch)
+    j_inverse_series(new_ring(p, 3, 0), n)
+    assert calls[0] == (n, p, 3 + guard)
+
+
+def test_j_inverse_series_doubles_the_guard(monkeypatch):
+    # G starts at floor(log_2 40) + 2 = 7; b_32 = 2^8 * odd and v_2(32) = 5
+    # need G >= 13, so one doubling to 14 pins every shift
+    calls = spy_reversion(monkeypatch)
+    ctx = new_ring(2, 12, 1)
+    got = j_inverse_series(ctx, 40)
+    assert calls == [(40, 2, 19), (40, 2, 26)]
+    assert fields(got) == fields(exact_series(ctx, 40))
+
+
+def test_j_inverse_series_falls_back_to_exact(monkeypatch):
+    calls = spy_reversion(monkeypatch)
+    monkeypatch.setattr(modular, "_MAX_GUARD", 7)
+    ctx = new_ring(2, 12, 1)
+    got = j_inverse_series(ctx, 40)
+    assert calls == [(40, 2, 19), (40, None, 0)]
+    assert fields(got) == fields(exact_series(ctx, 40))

@@ -20,6 +20,7 @@ from qcusp.series import (
     twist,
     zero_series,
 )
+from qcusp.trace import tate_trace
 
 from conftest import random_series
 
@@ -417,3 +418,35 @@ def test_mul_partial_sum_collapses_mid_accumulation():
     assert (fg.coefficient(m).unit, fg.coefficient(m).prec) == ((7,), 4)
     assert (gf.coefficient(m).unit, gf.coefficient(m).prec) == ((2,), 1)
 
+
+
+def assert_stored_in_order(f):
+    # items() and exponents() return the stored order without sorting
+    keys = list(f._terms)
+    assert all(a < b for a, b in zip(keys, keys[1:]))
+    assert f.exponents() == keys and f.items() == list(f._terms.items())
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_results_store_terms_in_ascending_order(data):
+    ctx = data.draw(rings())
+    p = ctx.p
+    pool = data.draw(coeff_pools(ctx))
+    f = data.draw(frac_series(ctx, pool))
+    g = data.draw(frac_series(ctx, pool))
+    results = [f + g, g + f, f - g, f * g, g * f, -f, f.scale(data.draw(pool_coeffs(ctx, pool))),
+               f.p_times(data.draw(st.integers(-3, 3))), f.truncate_degree(Fraction(data.draw(st.integers(-4, 30)), p)),
+               substitute_power(f, p), scale_exponents(f, p + 1)]
+    if f.max_depth() <= ctx.s:
+        results.append(twist(f, data.draw(st.integers(0, 30)), data.draw(st.sampled_from([1, p + 1]))))
+    if not f.laurent:
+        results.append(tate_trace(f, data.draw(st.integers(0, 3))))
+    fi = data.draw(frac_series(ctx, pool, integer=True, top=8))
+    gi = data.draw(frac_series(ctx, pool, integer=True, positive=True, top=6))
+    results.append(compose(fi, gi))
+    n = data.draw(st.integers(1, 8))
+    terms = {Fraction(d): data.draw(pool_coeffs(ctx, pool)) for d in range(2, n + 1) if data.draw(st.booleans())}
+    results.append(revert(FracSeries(ctx, {Fraction(1): CycloCoeff.one(ctx), **terms}, n, 0, False)))
+    for r in [f, g, *results]:
+        assert_stored_in_order(r)

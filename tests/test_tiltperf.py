@@ -268,3 +268,19 @@ def test_tower_operations_build_compatible_towers(data):
         comps[i + 1] = comps[i + 1] + charp_from_terms(p, [(0, c)], inf, comps[i + 1].depth_bound)
         with pytest.raises(DomainError, match=f"index {i}:"):
             TiltTower(comps)
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_results_store_terms_in_ascending_order(data):
+    # items() returns the stored order without sorting
+    p = data.draw(st.sampled_from([2, 3, 5]))
+    f = data.draw(charp_series(p))
+    g = data.draw(charp_series(p))
+    results = [f, g, f + g, g + f, f * g, g * f, frobenius(f), frobenius_inv(frobenius(f))]
+    if all(m.denominator * p <= p**f.depth_bound for m in f._terms):
+        results.append(frobenius_inv(f))
+    for r in results:
+        keys = list(r._terms)
+        assert all(a < b for a, b in zip(keys, keys[1:]))
+        assert r.items() == list(r._terms.items())
