@@ -279,8 +279,7 @@ def _dispatch(argv: list[str], out) -> int:
     if args.command == "perfection":
         _at_least("--iterations", args.iterations, 0)
         series, meta = _load_charp(args)
-        lifted = CharPSeries(series.p, dict(series.items()), series.deg_bound,
-                             series.depth_bound + args.iterations, series.laurent, _trusted=True)
+        lifted = series.with_depth_bound(series.depth_bound + args.iterations)
         for _ in range(args.iterations):
             lifted = frobenius_inv(lifted)
         out.write(emit_series(lifted, meta.get("cusp_label", ""), int(meta.get("e", "1"))))

@@ -179,6 +179,25 @@ def _unit_mul(ctx: RingContext, a: tuple[int, ...], b: tuple[int, ...], modulus:
     return _reduce(ctx, acc, modulus)
 
 
+def _p_content(ctx: RingContext, shift: int, unit, prec: int) -> tuple[int, tuple[int, ...], int]:
+    """Normal form (shift, unit, prec) of p^shift * unit, for entries already
+    canonical mod p^prec: one gcd finds the p-content, which moves into the
+    shift and spends one digit per factor; zero is the zero element."""
+    g = gcd(*unit)
+    if g == 0:
+        return 0, (0,) * ctx.phi, ctx.k
+    p = ctx.p
+    t = 0
+    while g % p == 0:
+        g //= p
+        t += 1
+    if t:
+        # g < p^prec, so t < prec and at least one digit survives
+        q = p**t
+        unit = [v // q for v in unit]
+    return shift + t, tuple(unit), prec - t
+
+
 class CycloCoeff:
     """An element p^shift * unit of the fraction ring of Z_p[zeta_{p^s}] mod p^k.
 
@@ -203,27 +222,8 @@ class CycloCoeff:
         if len(unit) != ctx.phi:
             raise ValueError("unit part has wrong degree for this context")
         prec = ctx.k if prec is None else min(prec, ctx.k)
-        if prec <= 0:
-            self.shift, self.unit, self.prec = 0, (0,) * ctx.phi, ctx.k
-            return
-        p = ctx.p
-        m = p**prec
-        unit = [v % m for v in unit]
-        g = gcd(*unit)
-        if g == 0:
-            self.shift, self.unit, self.prec = 0, (0,) * ctx.phi, ctx.k
-            return
-        t = 0
-        while g % p == 0:
-            g //= p
-            t += 1
-        if t:
-            # g < p^prec, so t < prec and at least one digit survives
-            q = p**t
-            unit = [v // q for v in unit]
-        self.shift = shift + t
-        self.unit = tuple(unit)
-        self.prec = prec - t
+        m = ctx.p ** max(prec, 0)  # no digits left: every entry is 0 mod 1
+        self.shift, self.unit, self.prec = _p_content(ctx, shift, [v % m for v in unit], prec)
 
     # -- constructors ------------------------------------------------------
 
@@ -347,9 +347,13 @@ class CycloCoeff:
         if not any(self.unit) or not any(other.unit):
             return CycloCoeff.zero(ctx)
         prec = min(self.prec, other.prec)
+        shift = self.shift + other.shift
         unit = _unit_mul(ctx, self.unit, other.unit, ctx.p**prec)
-        # at phi = 1 the product is already in normal form (module docstring)
-        return CycloCoeff(ctx, self.shift + other.shift, unit, prec, _normalized=ctx.phi == 1)
+        # at phi = 1 the product of two p-free units is p-free; above, the
+        # entries are canonical mod p^prec and only the p-content is left
+        if ctx.phi > 1:
+            shift, unit, prec = _p_content(ctx, shift, unit, prec)
+        return CycloCoeff(ctx, shift, unit, prec, _normalized=True)
 
     def mul_zeta_power(self, n: int, e: int) -> "CycloCoeff":
         """Multiply by zeta_{p^n}^e, the designated primitive p^n-th unit root:

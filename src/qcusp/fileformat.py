@@ -24,7 +24,7 @@ from math import inf
 
 from .coeff import CycloCoeff, RingContext, new_ring
 from .errors import SeriesFileError
-from .series import FracSeries, exponent_depth
+from .series import FracSeries, exponent_depth, lowest_terms
 from .tiltperf import CharPSeries, TiltTower
 
 HEADER_ORDER = ("p", "k", "s", "depth", "deg", "laurent", "cusp_label", "e", "mode")
@@ -53,8 +53,12 @@ def _parse_deg(text: str, line: int):
 
 
 def format_exponent(m: Fraction, p: int) -> str:
-    r = exponent_depth(m, p)
-    return str(m.numerator) if r == 0 else f"{m.numerator}/p^{r}"
+    return _format_exponent(m.numerator, exponent_depth(m, p))
+
+
+def _format_exponent(num: int, r: int) -> str:
+    """num / p^r, in lowest terms."""
+    return str(num) if r == 0 else f"{num}/p^{r}"
 
 
 def format_coefficient(c: CycloCoeff) -> str:
@@ -104,40 +108,39 @@ def parse_coefficient(ctx: RingContext, text: str, line: int) -> CycloCoeff:
     return CycloCoeff.from_poly(ctx, poly, shift)
 
 
-def parse_exponent(text: str, p: int, line: int) -> Fraction:
+def parse_exponent(text: str, p: int, line: int) -> tuple[int, int]:
+    """The exponent num / p^r as (num, r) in lowest terms."""
     m = _EXP_RE.match(text.strip())
     if not m:
         raise SeriesFileError(f"bad exponent syntax {text!r}", line)
     num = int(m.group(1))
     r = int(m.group(2)) if m.group(2) else 0
-    return Fraction(num, p**r)
+    while r and num % p == 0:
+        num //= p
+        r -= 1
+    return num, r
 
 
 def emit_series(f: FracSeries | CharPSeries, cusp_label: str = "", e: int = 1) -> str:
     """Canonical text: fixed header order, terms in increasing exponent order."""
-    lines = []
     if isinstance(f, CharPSeries):
-        header = {
-            "p": f.p, "k": 1, "s": 0, "depth": f.depth_bound,
-            "deg": _format_deg(f.deg_bound), "laurent": str(f.laurent).lower(),
-            "cusp_label": cusp_label, "e": e, "mode": "charp",
-        }
-        for key in HEADER_ORDER:
-            lines.append(f"{key}={header[key]}")
-        for m, c in f.items():
-            lines.append(f"{format_exponent(m, f.p)} : {c}")
+        k, s, mode, fmt = 1, 0, "charp", str
     else:
-        ctx = f.ctx
-        header = {
-            "p": ctx.p, "k": ctx.k, "s": ctx.s, "depth": f.depth_bound,
-            "deg": _format_deg(f.deg_bound), "laurent": str(f.laurent).lower(),
-            "cusp_label": cusp_label, "e": e, "mode": "frac",
-        }
-        for key in HEADER_ORDER:
-            lines.append(f"{key}={header[key]}")
-        for m, c in f.items():
-            lines.append(f"{format_exponent(m, ctx.p)} : {format_coefficient(c)}")
+        k, s, mode, fmt = f.ctx.k, f.ctx.s, "frac", format_coefficient
+    header = {
+        "p": f.p, "k": k, "s": s, "depth": f.depth_bound,
+        "deg": _format_deg(f.deg_bound), "laurent": str(f.laurent).lower(),
+        "cusp_label": cusp_label, "e": e, "mode": mode,
+    }
+    lines = [f"{key}={header[key]}" for key in HEADER_ORDER]
+    lines += [f"{_format_exponent(num, r)} : {fmt(c)}" for num, r, c in lowest_terms(f)]
     return "\n".join(lines) + "\n"
+
+
+def _parse_charp_coefficient(text: str, line: int) -> int:
+    if not re.fullmatch(r"-?\d+", text.strip()):
+        raise SeriesFileError("charp coefficients are plain integers", line)
+    return int(text)
 
 
 def parse_series(text: str, overrides: dict | None = None) -> FracSeries | CharPSeries:
@@ -183,37 +186,25 @@ def parse_series(text: str, overrides: dict | None = None) -> FracSeries | CharP
         raise SeriesFileError(f"unknown mode {mode!r}")
 
     if mode == "charp":
-        terms: dict[Fraction, int] = {}
-        for lineno, line in term_lines:
-            exp_text, sep, coeff_text = line.partition(":")
-            if not sep:
-                raise SeriesFileError("term line needs 'exponent : coefficient'", lineno)
-            m = parse_exponent(exp_text, p, lineno)
-            if m in terms:
-                raise SeriesFileError(f"duplicate exponent {exp_text.strip()!r}", lineno)
-            if not re.fullmatch(r"-?\d+", coeff_text.strip()):
-                raise SeriesFileError("charp coefficients are plain integers", lineno)
-            terms[m] = int(coeff_text)
+        cls, ring, parse_coeff = CharPSeries, p, _parse_charp_coefficient
+    else:
         try:
-            return CharPSeries(p, terms, deg_bound, depth_bound, laurent)
-        except Exception as exc:
-            raise SeriesFileError(str(exc))
-
-    try:
-        ctx = new_ring(p, k, s)
-    except ValueError as exc:
-        raise SeriesFileError(f"bad ring header: {exc}")
-    fterms: dict[Fraction, CycloCoeff] = {}
+            ctx = new_ring(p, k, s)
+        except ValueError as exc:
+            raise SeriesFileError(f"bad ring header: {exc}")
+        cls, ring = FracSeries, ctx
+        parse_coeff = lambda text, line: parse_coefficient(ctx, text, line)
+    terms = {}
     for lineno, line in term_lines:
         exp_text, sep, coeff_text = line.partition(":")
         if not sep:
             raise SeriesFileError("term line needs 'exponent : coefficient'", lineno)
         m = parse_exponent(exp_text, p, lineno)
-        if m in fterms:
+        if m in terms:
             raise SeriesFileError(f"duplicate exponent {exp_text.strip()!r}", lineno)
-        fterms[m] = parse_coefficient(ctx, coeff_text, lineno)
+        terms[m] = parse_coeff(coeff_text, lineno)
     try:
-        return FracSeries(ctx, fterms, deg_bound, depth_bound, laurent)
+        return cls(ring, terms, deg_bound, depth_bound, laurent)
     except Exception as exc:
         raise SeriesFileError(str(exc))
 

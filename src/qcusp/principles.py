@@ -18,7 +18,7 @@ from fractions import Fraction
 
 from .coeff import CycloCoeff
 from .errors import DomainError
-from .series import FamilySeries, FracSeries
+from .series import FamilySeries, FracSeries, lowest_terms
 
 
 class Verdict(enum.Enum):
@@ -46,7 +46,7 @@ def extends_to_cusp(f: FracSeries) -> PrincipleVerdict:
     """Does the expansion lie in the pole-free subring, i.e. extend over the
     cusp? Witness: the most negative offending exponent. Pole coefficients
     that vanish mod p^k pass, with a note."""
-    offenders = [(m, c) for m, c in f.items() if m < 0]
+    offenders = [(Fraction(num, f.p**r), c) for num, r, c in lowest_terms(f) if num < 0]
     hard = [(m, c) for m, c in offenders if not _vanishes_at_precision(c)]
     if hard:
         return PrincipleVerdict(Verdict.NO, witness=hard[0])
@@ -72,24 +72,23 @@ def is_integral(f: FracSeries) -> PrincipleVerdict:
     negative-shift coefficient in exponent order."""
     if f.laurent:
         raise DomainError("integrality is defined on non-Laurent expansions only")
-    for m, c in f.items():
+    for num, r, c in lowest_terms(f):
         if c.shift < 0:
-            return PrincipleVerdict(Verdict.NO, witness=(m, c))
+            return PrincipleVerdict(Verdict.NO, witness=(Fraction(num, f.p**r), c))
     return PrincipleVerdict(Verdict.YES)
 
 
 def zero_test(f: FracSeries) -> PrincipleVerdict:
     """Is the expansion zero? Terms whose coefficients are nonzero but vanish
     mod p^k make the answer precision-dependent."""
-    items = f.items()
-    if not items:
+    if f.is_zero():
         return PrincipleVerdict(Verdict.YES)
-    visible = [(m, c) for m, c in items if not _vanishes_at_precision(c)]
-    if visible:
-        return PrincipleVerdict(Verdict.NO, witness=visible[0])
+    for num, r, c in lowest_terms(f):
+        if not _vanishes_at_precision(c):
+            return PrincipleVerdict(Verdict.NO, witness=(Fraction(num, f.p**r), c))
     return PrincipleVerdict(
         Verdict.UNKNOWN,
-        witness=items[0],
+        witness=f.items()[0],
         note=f"all coefficients vanish at precision p^{f.ctx.k} but not exactly",
     )
 

@@ -1,7 +1,7 @@
 """Sparse Laurent series in q with exponents in Z[1/p].
 
-A FracSeries is a finite map from exponents (rationals whose denominator is
-a p-power) to CycloCoeff values, together with three truncation bounds:
+A series is a finite map from exponents (rationals whose denominator is a
+p-power) to coefficients, together with three truncation bounds:
 
 * deg_bound: exponents above it are unknown, which is not the same as zero;
 * depth_bound: the largest p-power denominator the series may use;
@@ -11,47 +11,51 @@ These model O[[q^(1/p^oo)]][1/p] and its Laurent completion at working
 precision. Operation results carry soundly shrunk degree bounds so that a
 term the truncation cannot certify is never reported.
 
-Stored exponent keys are Fraction values; Fraction normalization makes the
-"p does not divide the numerator unless the depth is 0" invariant automatic.
-The kernels do not loop on Fractions: products key terms by the integer
-numerators over one common p-power denominator (`_int_keys`), and compose
-and revert work on dense lists indexed by integer exponent. Each result
-term converts back to a Fraction once.
+One core, `_SparseSeries`, serves two coefficient rings: `FracSeries`
+(CycloCoeff) and `tiltperf.CharPSeries` (F_p). It stores the terms as an
+ascending dict from integer numerators over p^depth_bound to nonzero
+coefficients; binary operations first scale both operands' keys to the
+larger depth bound. Fractions appear only at the public edge: constructor
+input, `items`, `exponents`, `coefficient`, `min_exponent` and `deg_bound`.
+Other modules read the keys through `lowest_terms`, `with_depth_bound` and
+`substitute_power`, so only this module computes or scales a stored key.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from math import floor, gcd, inf
+from math import gcd, inf
+from typing import NamedTuple
 
-from .coeff import CycloCoeff, RingContext
-from .errors import ContextMismatchError, DepthError, DomainError
+from .coeff import CycloCoeff, RingContext, inv
+from .errors import ContextMismatchError, DepthError, DomainError, NotInvertibleError
 
 
-@dataclass(frozen=True)
-class Exponent:
-    """A fractional exponent num / p^depth. Convenience input form."""
+class Exponent(NamedTuple):
+    """A fractional exponent num / p^depth. Convenience input form, the same
+    as the tuple (num, depth)."""
 
     num: int
     depth: int = 0
 
-    def as_fraction(self, p: int) -> Fraction:
-        if self.depth < 0:
+
+def _exponent_parts(m, p: int) -> tuple[int, int]:
+    """(numerator, denominator) of an exponent-like value: Exponent or
+    (num, depth), Fraction or int. Not validated, nor in lowest terms."""
+    if isinstance(m, tuple):
+        num, r = m
+        if r < 0:
             raise ValueError("exponent depth must be >= 0")
-        return Fraction(self.num, p**self.depth)
-
-
-ExponentLike = "Exponent | Fraction | int | tuple[int, int]"
+        return num, p**r
+    if not isinstance(m, (int, Fraction)):
+        m = Fraction(m)
+    return m.numerator, m.denominator
 
 
 def as_exponent(m, p: int) -> Fraction:
-    """Coerce an exponent-like value to a Fraction with p-power denominator."""
-    if isinstance(m, Exponent):
-        return m.as_fraction(p)
-    if isinstance(m, tuple):
-        return Exponent(*m).as_fraction(p)
-    f = Fraction(m)
+    """Coerce an exponent-like value (Exponent, (num, depth) tuple, Fraction,
+    int) to a Fraction with p-power denominator."""
+    f = Fraction(*_exponent_parts(m, p))
     exponent_depth(f, p)  # validates the denominator
     return f
 
@@ -68,141 +72,166 @@ def exponent_depth(m: Fraction, p: int) -> int:
     return r
 
 
-class FracSeries:
-    """Finite q-expansion with fractional exponents and truncation bounds.
+def _top(deg, den: int):
+    """The largest key k with k / den <= deg; deg may be deeper than den."""
+    return inf if deg == inf else deg.numerator * den // deg.denominator
 
-    Immutable after construction; do not mutate the returned term maps.
-    """
 
-    __slots__ = ("ctx", "_terms", "deg_bound", "depth_bound", "laurent")
+class _SparseSeries:
+    """Terms keyed by integer numerators over p^depth_bound, plus bounds.
+    Immutable. Subclasses supply the coefficient ring through `_set_ring`,
+    `_ring`, `_zero` and `_normalize`."""
 
-    def __init__(
-        self,
-        ctx: RingContext,
-        terms: dict[Fraction, CycloCoeff],
-        deg_bound,
-        depth_bound: int,
-        laurent: bool,
-        *,
-        _trusted: bool = False,
-    ):
-        self.ctx = ctx
-        self.deg_bound = deg_bound if deg_bound == inf else Fraction(deg_bound)
+    __slots__ = ("p", "_terms", "deg_bound", "depth_bound", "laurent")
+
+    def __init__(self, ring, terms: dict, deg_bound, depth_bound: int, laurent: bool = False, *, _trusted: bool = False):
+        """`ring` is the coefficient ring (a RingContext, or the prime p for
+        F_p); `terms` maps exponent-like values to coefficients, and zero
+        coefficients are dropped."""
+        self.p = p = self._set_ring(ring)
         self.depth_bound = depth_bound
         self.laurent = laurent
         if _trusted:
+            # ascending integer keys at this depth bound; deg_bound a Fraction or inf
+            self.deg_bound = deg_bound
             self._terms = terms
             return
-        clean: dict[Fraction, CycloCoeff] = {}
+        self.deg_bound = deg_bound if deg_bound == inf else Fraction(deg_bound)
+        if depth_bound < 0:
+            raise DepthError(f"depth bound {depth_bound} is negative")
+        den = p**depth_bound
+        top = _top(self.deg_bound, den)
+        normalize = self._normalize
+        clean = {}
         for m, c in terms.items():
-            if c.ctx != ctx:
-                raise ContextMismatchError("coefficient context differs from series context")
-            if c.is_zero():
+            c = normalize(c)
+            if c is None:
                 continue
-            r = exponent_depth(m, ctx.p)
-            if r > depth_bound:
-                raise DepthError(f"exponent {m} has depth {r} > depth bound {depth_bound}")
-            if m > self.deg_bound:
-                raise DomainError(f"exponent {m} exceeds degree bound {self.deg_bound}")
-            if m < 0 and not laurent:
-                raise DomainError(f"negative exponent {m} in a non-Laurent series")
-            clean[m] = c
+            num, d = _exponent_parts(m, p)
+            k, rem = divmod(num * den, d)
+            if rem:
+                # exponent_depth raises first for a denominator that is not a p-power
+                m = Fraction(num, d)
+                raise DepthError(f"exponent {m} has depth {exponent_depth(m, p)} > depth bound {depth_bound}")
+            if k > top:
+                raise DomainError(f"exponent {Fraction(k, den)} exceeds degree bound {self.deg_bound}")
+            if k < 0 and not laurent:
+                raise DomainError(f"negative exponent {Fraction(k, den)} in a non-Laurent series")
+            if k in clean:
+                raise DomainError(f"duplicate exponent {Fraction(k, den)}")
+            clean[k] = c
         self._terms = dict(sorted(clean.items()))
+
+    def _new(self, terms: dict, deg_bound, depth_bound: int, laurent: bool):
+        """A series over the same ring from integer keys at depth_bound."""
+        return type(self)(self._ring(), terms, deg_bound, depth_bound, laurent, _trusted=True)
+
+    def _same_ring(self, other: "_SparseSeries") -> bool:
+        a, b = self._ring(), other._ring()
+        return a is b or a == b
+
+    def _check(self, other: "_SparseSeries") -> None:
+        if not self._same_ring(other):
+            raise ContextMismatchError(f"series rings differ: {self._ring()} vs {other._ring()}")
+
+    def _keys_at(self, depth: int) -> dict:
+        """The term map with keys over p^depth; terms deeper than depth are dropped."""
+        d = depth - self.depth_bound
+        if d == 0:
+            return self._terms
+        if d > 0:
+            s = self.p**d
+            return {k * s: c for k, c in self._terms.items()}
+        s = self.p**-d
+        return {k // s: c for k, c in self._terms.items() if k % s == 0}
 
     # -- inspection --------------------------------------------------------
 
-    def items(self) -> list[tuple[Fraction, CycloCoeff]]:
-        """Terms in increasing exponent order, the order every constructor
-        stores them in."""
-        return list(self._terms.items())
-
-    def coefficient(self, m) -> CycloCoeff:
-        key = as_exponent(m, self.ctx.p)
-        return self._terms.get(key, CycloCoeff.zero(self.ctx))
+    def items(self) -> list[tuple[Fraction, object]]:
+        """Terms in increasing exponent order, the order they are stored in."""
+        den = self.p**self.depth_bound
+        return [(Fraction(k, den), c) for k, c in self._terms.items()]
 
     def exponents(self) -> list[Fraction]:
-        return list(self._terms)
+        return [m for m, _ in self.items()]
+
+    def coefficient(self, m):
+        """The coefficient at an exponent-like m; zero when there is no term."""
+        num, d = _exponent_parts(m, self.p)
+        k, rem = divmod(num * self.p**self.depth_bound, d)
+        if rem:
+            exponent_depth(Fraction(num, d), self.p)  # rejects a denominator that is not a p-power
+        return self._zero() if rem else self._terms.get(k, self._zero())
 
     def is_zero(self) -> bool:
         return not self._terms
 
     def min_exponent(self) -> Fraction | None:
-        return min(self._terms) if self._terms else None
+        return Fraction(next(iter(self._terms)), self.p**self.depth_bound) if self._terms else None
 
     def max_depth(self) -> int:
         """Largest denominator depth among stored terms; 0 for the zero series."""
-        p = self.ctx.p
-        return max((exponent_depth(m, p) for m in self._terms), default=0)
+        g = gcd(*self._terms)  # 0 for no terms or only q^0, which has depth 0
+        r = self.depth_bound
+        while r and g % self.p == 0:
+            g //= self.p
+            r -= 1
+        return r
 
     def __eq__(self, other: object) -> bool:
-        """Equality of term maps; coefficients compare at shared precision.
-        The truncation bounds are knowledge metadata, not part of the value."""
-        if not isinstance(other, FracSeries):
+        """Equality of term maps at a common key scale. The truncation bounds
+        are knowledge metadata, not part of the value."""
+        if type(other) is not type(self):
             return NotImplemented
-        return self.ctx == other.ctx and self._terms == other._terms
+        if not self._same_ring(other):
+            return False
+        depth = max(self.depth_bound, other.depth_bound)
+        return self._keys_at(depth) == other._keys_at(depth)
 
     __hash__ = None
 
     def __repr__(self) -> str:
         body = " + ".join(f"({c!r})*q^{m}" for m, c in self.items()) or "0"
-        return f"FracSeries({body}; deg<={self.deg_bound}, depth<={self.depth_bound}, laurent={self.laurent})"
-
-    def equals_mod(self, other: "FracSeries", digits: int) -> bool:
-        """Termwise coefficient equality after re-truncation to `digits`."""
-        if self.ctx != other.ctx:
-            raise ContextMismatchError("cannot compare across contexts")
-        keys = set(self._terms) | set(other._terms)
-        zero = CycloCoeff.zero(self.ctx)
-        for m in keys:
-            a = self._terms.get(m, zero)
-            b = other._terms.get(m, zero)
-            if not a.equals_mod(b, digits):
-                return False
-        return True
+        return f"{type(self).__name__}({body}; p={self.p}, deg<={self.deg_bound}, depth<={self.depth_bound}, laurent={self.laurent})"
 
     # -- ring operations ---------------------------------------------------
 
-    def _check_ctx(self, other: "FracSeries") -> None:
-        if self.ctx != other.ctx:
-            raise ContextMismatchError("series contexts differ")
-
-    def __add__(self, other: "FracSeries") -> "FracSeries":
-        self._check_ctx(other)
+    def __add__(self, other):
+        self._check(other)
         deg = min(self.deg_bound, other.deg_bound)
         depth = max(self.depth_bound, other.depth_bound)
-        out: dict[Fraction, CycloCoeff] = {}
-        for m, c in self._terms.items():
-            if m <= deg:
-                out[m] = c
-        for m, c in other._terms.items():
-            if m > deg:
-                continue
-            s = out[m] + c if m in out else c
-            if s.is_zero():
-                out.pop(m, None)
-            else:
-                out[m] = s
-        return FracSeries(
-            self.ctx, dict(sorted(out.items())), deg, depth,
-            self.laurent or other.laurent, _trusted=True,
-        )
+        top = _top(deg, self.p**depth)
+        out = {k: c for k, c in self._keys_at(depth).items() if k <= top}
+        normalize = self._normalize
+        for k, c in other._keys_at(depth).items():
+            if k > top:
+                break
+            if k in out:
+                c = normalize(out.pop(k) + c)
+            if c is not None:
+                out[k] = c
+        return self._new(dict(sorted(out.items())), deg, depth, self.laurent or other.laurent)
 
-    def __neg__(self) -> "FracSeries":
-        return FracSeries(
-            self.ctx, {m: -c for m, c in self._terms.items()},
-            self.deg_bound, self.depth_bound, self.laurent, _trusted=True,
-        )
+    def __neg__(self):
+        normalize = self._normalize  # the negative of a nonzero coefficient is nonzero
+        return self._new({k: normalize(-c) for k, c in self._terms.items()},
+                         self.deg_bound, self.depth_bound, self.laurent)
 
-    def __sub__(self, other: "FracSeries") -> "FracSeries":
+    def __sub__(self, other):
         return self + (-other)
 
-    def __mul__(self, other: "FracSeries") -> "FracSeries":
-        self._check_ctx(other)
+    def __mul__(self, other):
+        """The product's key loop: self ascending outside, other ascending
+        inside, and a partial sum that is zero is dropped. Over CycloCoeff
+        the precision depends on that order (ROADMAP item 1); over F_p the
+        sums stay raw integers until `_normalize` reduces each term once."""
+        self._check(other)
         deg = _mul_deg_bound(self, other)
         depth = max(self.depth_bound, other.depth_bound)
-        a, b, den, top = _int_keys(self._terms, other._terms, deg)
-        out: dict[int, CycloCoeff] = {}
-        for m1, c1 in a:
+        top = _top(deg, self.p**depth)
+        b = list(other._keys_at(depth).items())
+        out: dict = {}
+        for m1, c1 in self._keys_at(depth).items():
             for m2, c2 in b:
                 m = m1 + m2
                 if m > top:
@@ -210,38 +239,27 @@ class FracSeries:
                 c = c1 * c2
                 if m in out:
                     c = out[m] + c
-                if c.is_zero():
-                    out.pop(m, None)
-                else:
+                if c:
                     out[m] = c
-        return FracSeries(
-            self.ctx, {Fraction(m, den): c for m, c in sorted(out.items())}, deg, depth,
-            self.laurent or other.laurent, _trusted=True,
-        )
+                else:
+                    out.pop(m, None)
+        normalize = self._normalize
+        terms = {m: c for m in sorted(out) if (c := normalize(out[m])) is not None}
+        return self._new(terms, deg, depth, self.laurent or other.laurent)
 
-    def scale(self, c: CycloCoeff) -> "FracSeries":
-        """Multiply every coefficient by c."""
-        if c.ctx != self.ctx:
-            raise ContextMismatchError("scalar context differs")
-        out = {}
-        for m, v in self._terms.items():
-            w = v * c
-            if not w.is_zero():
-                out[m] = w
-        return FracSeries(self.ctx, out, self.deg_bound, self.depth_bound, self.laurent, _trusted=True)
-
-    def p_times(self, t: int) -> "FracSeries":
-        """Multiply by p^t, exactly, via the coefficient shifts."""
-        return FracSeries(
-            self.ctx, {m: c.p_times(t) for m, c in self._terms.items()},
-            self.deg_bound, self.depth_bound, self.laurent, _trusted=True,
-        )
-
-    def truncate_degree(self, new_deg) -> "FracSeries":
+    def truncate_degree(self, new_deg):
         """Forget all terms above new_deg and lower the degree bound."""
         deg = min(self.deg_bound, new_deg if new_deg == inf else Fraction(new_deg))
-        out = {m: c for m, c in self._terms.items() if m <= deg}
-        return FracSeries(self.ctx, out, deg, self.depth_bound, self.laurent, _trusted=True)
+        top = _top(deg, self.p**self.depth_bound)
+        return self._new({k: c for k, c in self._terms.items() if k <= top},
+                         deg, self.depth_bound, self.laurent)
+
+    def with_depth_bound(self, depth: int):
+        """The terms of depth <= `depth` under depth bound `depth`; the degree
+        bound and the Laurent flag are kept."""
+        if depth < 0:
+            raise DepthError(f"depth bound {depth} is negative")
+        return self._new(self._keys_at(depth), self.deg_bound, depth, self.laurent)
 
 
 def _mul_deg_bound(f, g):
@@ -249,28 +267,72 @@ def _mul_deg_bound(f, g):
     the smallest known exponent of the other at deg + min-exponent."""
     if f.deg_bound == inf and g.deg_bound == inf:
         return inf
-    mf = min([*f._terms, f.deg_bound])
-    mg = min([*g._terms, g.deg_bound])
+    mf = f.deg_bound if f.is_zero() else f.min_exponent()
+    mg = g.deg_bound if g.is_zero() else g.min_exponent()
     left = inf if f.deg_bound == inf else f.deg_bound + mg
     right = inf if g.deg_bound == inf else g.deg_bound + mf
     return min(left, right)
 
 
-def _int_keys(ta: dict, tb: dict, deg):
-    """Both term maps as ascending (integer numerator, coefficient) lists over
-    their common denominator den, and the largest numerator top <= deg * den.
+class FracSeries(_SparseSeries):
+    """Finite q-expansion over a CycloCoeff ring with truncation bounds."""
 
-    Denominators are p-powers, so the largest one is a multiple of the rest.
-    deg may have a larger denominator than den, hence floor, never equality.
-    """
-    den = max([m.denominator for m in ta] + [m.denominator for m in tb], default=1)
-    # keys are distinct, so sorting the pairs never compares coefficients
-    a = sorted([(m.numerator * (den // m.denominator), c) for m, c in ta.items()])
-    b = sorted([(m.numerator * (den // m.denominator), c) for m, c in tb.items()])
-    return a, b, den, inf if deg == inf else floor(deg * den)
+    __slots__ = ("ctx",)
+
+    # own class-dict entries, so that instrumentation can wrap them per class
+    __init__ = _SparseSeries.__init__
+    __add__ = _SparseSeries.__add__
+    __mul__ = _SparseSeries.__mul__
+    items = _SparseSeries.items
+
+    def _set_ring(self, ctx: RingContext) -> int:
+        self.ctx = ctx
+        return ctx.p
+
+    def _ring(self) -> RingContext:
+        return self.ctx
+
+    def _zero(self) -> CycloCoeff:
+        return CycloCoeff.zero(self.ctx)
+
+    def _normalize(self, c: CycloCoeff) -> CycloCoeff | None:
+        if c.ctx is not self.ctx and c.ctx != self.ctx:
+            raise ContextMismatchError("coefficient context differs from series context")
+        return None if c.is_zero() else c
+
+    def equals_mod(self, other: "FracSeries", digits: int) -> bool:
+        """Termwise coefficient equality after re-truncation to `digits`."""
+        self._check(other)
+        depth = max(self.depth_bound, other.depth_bound)
+        a, b = self._keys_at(depth), other._keys_at(depth)
+        zero = CycloCoeff.zero(self.ctx)
+        return all(a.get(k, zero).equals_mod(b.get(k, zero), digits) for k in a.keys() | b.keys())
+
+    def scale(self, c: CycloCoeff) -> "FracSeries":
+        """Multiply every coefficient by c."""
+        if c.ctx != self.ctx:
+            raise ContextMismatchError("scalar context differs")
+        out = {k: w for k, v in self._terms.items() if not (w := v * c).is_zero()}
+        return self._new(out, self.deg_bound, self.depth_bound, self.laurent)
+
+    def p_times(self, t: int) -> "FracSeries":
+        """Multiply by p^t, exactly, via the coefficient shifts."""
+        return self._new({k: c.p_times(t) for k, c in self._terms.items()},
+                         self.deg_bound, self.depth_bound, self.laurent)
 
 
 # -- constructors ------------------------------------------------------------
+
+
+def _term_dict(pairs, p: int) -> dict[Fraction, object]:
+    """(exponent-like, coefficient) pairs as a dict; duplicate exponents are an error."""
+    terms: dict[Fraction, object] = {}
+    for m, c in pairs:
+        key = as_exponent(m, p)
+        if key in terms:
+            raise DomainError(f"duplicate exponent {key}")
+        terms[key] = c
+    return terms
 
 
 def from_terms(ctx: RingContext, pairs, deg_bound, depth_bound: int, laurent: bool = False) -> FracSeries:
@@ -280,19 +342,15 @@ def from_terms(ctx: RingContext, pairs, deg_bound, depth_bound: int, laurent: bo
     Coefficients may be CycloCoeff or int. Duplicate exponents after
     normalization are an error; zero coefficients are dropped.
     """
-    terms: dict[Fraction, CycloCoeff] = {}
-    for m, c in pairs:
-        key = as_exponent(m, ctx.p)
-        if key in terms:
-            raise DomainError(f"duplicate exponent {key}")
+    terms = _term_dict(pairs, ctx.p)
+    for m, c in terms.items():
         if isinstance(c, int):
-            c = CycloCoeff.from_int(ctx, c)
-        terms[key] = c
+            terms[m] = CycloCoeff.from_int(ctx, c)
     return FracSeries(ctx, terms, deg_bound, depth_bound, laurent)
 
 
 def zero_series(ctx: RingContext, deg_bound, depth_bound: int, laurent: bool = False) -> FracSeries:
-    return FracSeries(ctx, {}, deg_bound, depth_bound, laurent, _trusted=True)
+    return FracSeries(ctx, {}, deg_bound, depth_bound, laurent)
 
 
 def monomial(ctx: RingContext, m, c=1, *, deg_bound=None, depth_bound=None, laurent=None) -> FracSeries:
@@ -306,38 +364,65 @@ def monomial(ctx: RingContext, m, c=1, *, deg_bound=None, depth_bound=None, laur
     )
 
 
+# -- reading integer keys ------------------------------------------------------
+
+
+def lowest_terms(f: _SparseSeries):
+    """(num, r, c) per term in increasing order, exponent num / p^r in lowest terms."""
+    p = f.p
+    for k, c in f._terms.items():
+        r = f.depth_bound
+        while r and k % p == 0:
+            k //= p
+            r -= 1
+        yield k, r, c
+
+
 # -- substitution, twisting, composition -------------------------------------
 
 
-def substitute_power(f: FracSeries, j: int) -> FracSeries:
-    """Substitute q -> q^j for j a power of p: exponents and the degree bound
-    scale by j and denominator depths drop accordingly."""
-    p = f.ctx.p
-    jj = j
-    while jj > 1 and jj % p == 0:
-        jj //= p
-    if jj != 1 or j < 1:
-        raise DomainError(f"substitution power {j} is not a power of p={p}")
-    terms = {m * j: c for m, c in f._terms.items()}
+def _substitute(f: _SparseSeries, j):
+    """q -> q^j under the same depth bound, for j > 0 an integer or a power
+    of 1/p; every exponent times j must stay within the depth bound."""
+    num, den = j.numerator, j.denominator
+    if den != 1:
+        for k in f._terms:
+            if k % den:
+                m = Fraction(k, f.p**f.depth_bound)
+                raise DepthError(f"depth overflow: q^{m * j} exceeds depth bound {f.depth_bound}")
+    terms = {k * num // den: c for k, c in f._terms.items()}
     deg = inf if f.deg_bound == inf else f.deg_bound * j
-    return FracSeries(f.ctx, terms, deg, f.depth_bound, f.laurent, _trusted=True)
+    return f._new(terms, deg, f.depth_bound, f.laurent)
+
+
+def substitute_power(f, j):
+    """Substitute q -> q^j for j = p^t, t any integer: exponents and the
+    degree bound scale by j under the same depth bound. For t < 0 every
+    exponent must have a p^(-t)-th root within the depth bound."""
+    p = f.p
+    j = Fraction(j)
+    n = j.numerator if j.denominator == 1 else j.denominator if j.numerator == 1 else 0
+    while n > 1 and n % p == 0:
+        n //= p
+    if n != 1:
+        raise DomainError(f"substitution power {j} is not a power of p={p}")
+    return _substitute(f, j)
 
 
 def scale_exponents(f: FracSeries, e: int) -> FracSeries:
     """Substitute q -> q^e for e >= 1 prime to p; depths are unchanged."""
-    if e < 1 or e % f.ctx.p == 0:
-        raise DomainError(f"exponent scale {e} must be positive and prime to p={f.ctx.p}")
-    terms = {m * e: c for m, c in f._terms.items()}
-    deg = inf if f.deg_bound == inf else f.deg_bound * e
-    return FracSeries(f.ctx, terms, deg, f.depth_bound, f.laurent, _trusted=True)
+    if e < 1 or e % f.p == 0:
+        raise DomainError(f"exponent scale {e} must be positive and prime to p={f.p}")
+    return _substitute(f, e)
 
 
 def twist(f: FracSeries, h: int, e: int = 1) -> FracSeries:
     """The automorphism q^(1/p^n) -> zeta_{p^n}^(h/e) q^(1/p^n).
 
     The coefficient at exponent m = j/p^r (lowest terms) is multiplied by
-    zeta_{p^r}^((h/e mod p^r) * j). Depth r = 0 terms are fixed. Requires
-    cyclotomic depth s >= every stored depth and e prime to p.
+    zeta_{p^r}^((h/e mod p^r) * j), which is zeta_{p^R}^((h/e mod p^R) * k)
+    for m = k/p^R and R the largest stored depth. Depth r = 0 terms are
+    fixed. Requires cyclotomic depth s >= R and e prime to p.
     """
     ctx = f.ctx
     p = ctx.p
@@ -346,16 +431,14 @@ def twist(f: FracSeries, h: int, e: int = 1) -> FracSeries:
     need = f.max_depth()
     if need > ctx.s:
         raise DepthError(f"twist needs cyclotomic depth {need}, context has s={ctx.s}")
-    out: dict[Fraction, CycloCoeff] = {}
-    for m, c in f._terms.items():
-        r = exponent_depth(m, p)
-        if r == 0:
-            out[m] = c
-            continue
-        pr = p**r
-        h_eff = (h * pow(e, -1, pr)) % pr
-        out[m] = c.mul_zeta_power(r, (h_eff * m.numerator) % pr)
-    return FracSeries(ctx, out, f.deg_bound, f.depth_bound, f.laurent, _trusted=True)
+    pr = p**need
+    h_eff = (h * pow(e, -1, pr)) % pr
+    s = p ** (f.depth_bound - need)  # divides every key
+    out = {}
+    for k, c in f._terms.items():
+        t = (h_eff * (k // s)) % pr
+        out[k] = c.mul_zeta_power(need, t) if t else c
+    return f._new(out, f.deg_bound, f.depth_bound, f.laurent)
 
 
 def compose(f: FracSeries, g: FracSeries) -> FracSeries:
@@ -365,27 +448,27 @@ def compose(f: FracSeries, g: FracSeries) -> FracSeries:
     Works on dense lists through n = min(deg, max exp(f) * max exp(g)): the
     powers g^e by `_dense_mul`, and sum_e f_e g^e accumulated in ascending e.
     """
-    f._check_ctx(g)
-    if f.max_depth() != 0 or any(m < 0 for m in f._terms):
+    f._check(g)
+    if f.max_depth() != 0 or any(k < 0 for k in f._terms):
         raise DomainError("compose requires nonnegative integer exponents on the outer series")
-    if g.max_depth() != 0 or any(m <= 0 for m in g._terms):
+    if g.max_depth() != 0 or any(k <= 0 for k in g._terms):
         raise DomainError("inner series must have strictly positive integer exponents")
     deg = min(f.deg_bound, g.deg_bound)
     if deg < 0:
         raise DomainError(f"exponent 0 exceeds degree bound {deg}")
     ctx = f.ctx
-    n = int(max(f._terms, default=0)) * int(max(g._terms, default=0))
+    max_f, max_g = (next(reversed(s._terms), 0) // s.p**s.depth_bound for s in (f, g))
+    n = max_f * max_g
     if deg != inf:
-        n = min(n, floor(deg))
+        n = min(n, _top(deg, 1))  # g^e starts at q^e, so f's terms above n drop
     gd = _dense(g, n)
     gp = [None] * (n + 1)  # g^power
     gp[0] = CycloCoeff.one(ctx)
     acc = [None] * (n + 1)
     power = 0
-    for m, c in f.items():
-        e = int(m)
-        if e > n:  # g^e starts at q^e
-            break
+    for e, c in enumerate(_dense(f, n)):
+        if c is None:
+            continue
         while power < e:
             gp = _dense_mul(gp, gd, n)
             power += 1
@@ -398,22 +481,23 @@ def compose(f: FracSeries, g: FracSeries) -> FracSeries:
                 w = s + w
             acc[i] = None if w.is_zero() else w
     depth = max(f.depth_bound, g.depth_bound)
-    if f._terms:  # the sum then includes a power of g, whose depth bound is >= 0
-        depth = max(depth, 0)
-    return FracSeries(ctx, _sparse(acc), deg, depth, f.laurent or g.laurent, _trusted=True)
+    return f._new(_sparse(acc, ctx.p**depth), deg, depth, f.laurent or g.laurent)
 
 
 def _dense(f: FracSeries, n: int) -> list:
-    """The integer-exponent terms of f through q^n as a list; None marks absent."""
+    """An integer-exponent series through q^n as a list; None marks absent."""
+    den = f.p**f.depth_bound
     out = [None] * (n + 1)
-    for m, c in f._terms.items():
-        if m <= n:
-            out[int(m)] = c
+    for k, c in f._terms.items():
+        if k > n * den:
+            break
+        out[k // den] = c
     return out
 
 
-def _sparse(a: list) -> dict[Fraction, CycloCoeff]:
-    return {Fraction(i): c for i, c in enumerate(a) if c is not None}
+def _sparse(a: list, den: int) -> dict[int, CycloCoeff]:
+    """A dense list as integer keys over den."""
+    return {i * den: c for i, c in enumerate(a) if c is not None}
 
 
 def _dense_mul(a: list, b: list, n: int) -> list:
@@ -448,19 +532,15 @@ def revert(f: FracSeries) -> FracSeries:
     It divides only by the unit c1, so no p-adic digits are spent, as
     Lagrange's 1/d would spend them.
     """
-    from .coeff import inv as coeff_inv
-
     ctx = f.ctx
-    if f.max_depth() != 0 or any(m < 0 for m in f._terms):
+    if f.max_depth() != 0 or any(k < 0 for k in f._terms):
         raise DomainError("reversion is defined on the integer-exponent subring")
     if not f.coefficient(0).is_zero():
         raise DomainError("reversion requires zero constant term")
     c1 = f.coefficient(1)
     if c1.shift != 0:
-        from .errors import NotInvertibleError
-
         raise NotInvertibleError("reversion requires a unit linear coefficient")
-    c1_inv = coeff_inv(c1)  # raises NotInvertibleError for a ramified non-unit
+    c1_inv = inv(c1)  # raises NotInvertibleError for a ramified non-unit
     if f.deg_bound == inf:
         raise DomainError("reversion needs a finite degree bound")
     degree = int(f.deg_bound)
@@ -493,7 +573,7 @@ def revert(f: FracSeries) -> FracSeries:
             bd = -(err * c1_inv)
             if not bd.is_zero():
                 b[d] = bd
-    return FracSeries(ctx, _sparse(b), f.deg_bound, 0, False, _trusted=True)
+    return f._new(_sparse(b, 1), f.deg_bound, 0, False)
 
 
 # -- families ----------------------------------------------------------------

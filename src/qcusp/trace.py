@@ -11,7 +11,7 @@ never does, so the projection form is primary.
 from __future__ import annotations
 
 from .errors import DepthError, DomainError
-from .series import FracSeries, exponent_depth, twist, zero_series
+from .series import FracSeries, twist, zero_series
 
 
 def tate_trace(f: FracSeries, n: int) -> FracSeries:
@@ -21,9 +21,7 @@ def tate_trace(f: FracSeries, n: int) -> FracSeries:
         raise ValueError("target level must be >= 0")
     if f.laurent:
         raise DomainError("the normalized trace is defined on non-Laurent expansions only")
-    p = f.ctx.p
-    kept = {m: c for m, c in f.items() if exponent_depth(m, p) <= n}
-    return FracSeries(f.ctx, kept, f.deg_bound, n, False, _trusted=True)
+    return f.with_depth_bound(n)
 
 
 def galois_average(f: FracSeries, k: int, n: int, e: int = 1) -> FracSeries:

@@ -17,7 +17,7 @@ from math import inf
 
 from .coeff import val_p
 from .errors import DomainError
-from .series import FracSeries, exponent_depth
+from .series import FracSeries, lowest_terms
 
 
 @dataclass(frozen=True, order=True)
@@ -42,12 +42,11 @@ class Rank2Value:
 def v1minus(f: FracSeries) -> Rank2Value:
     """The rank-2 valuation of a Laurent expansion at the inner edge of the
     unit circle: min over stored terms of (val_p(a_n), n)."""
-    p = f.ctx.p
     best: Rank2Value | None = None
-    for m, c in f.items():
-        if exponent_depth(m, p) != 0:
+    for m, r, c in lowest_terms(f):
+        if r != 0:
             raise DomainError("the rank-2 valuation is defined on integer-exponent expansions")
-        cand = Rank2Value(val_p(c), int(m))
+        cand = Rank2Value(val_p(c), m)
         if best is None or cand < best:
             best = cand
     return best if best is not None else Rank2Value(inf, 0)

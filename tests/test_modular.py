@@ -258,7 +258,7 @@ def vp(n: int, p: int) -> int:
 
 
 def fields(f):
-    terms = [(m, c.shift, c.unit, c.prec) for m, c in f._terms.items()]
+    terms = [(m, c.shift, c.unit, c.prec) for m, c in f.items()]
     return terms, f.deg_bound, f.depth_bound, f.laurent
 
 

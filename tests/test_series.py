@@ -250,6 +250,22 @@ def test_equality_ignores_bounds():
 # -- the Fraction-keyed kernels, kept as references for the integer ones -----
 
 
+def reference_add(f, g):
+    """f+g by the Fraction-keyed loop: f's terms, then g's added in
+    ascending order, and a sum that collapses to zero is dropped."""
+    deg = min(f.deg_bound, g.deg_bound)
+    out = {m: c for m, c in f.items() if m <= deg}
+    for m, c in g.items():
+        if m > deg:
+            continue
+        s = out[m] + c if m in out else c
+        if s.is_zero():
+            out.pop(m, None)
+        else:
+            out[m] = s
+    return FracSeries(f.ctx, out, deg, max(f.depth_bound, g.depth_bound), f.laurent or g.laurent)
+
+
 def reference_mul(f, g):
     """f*g by the Fraction-keyed loop: f ascending outside, g ascending
     inside, and a partial sum that collapses to zero is dropped."""
@@ -267,8 +283,7 @@ def reference_mul(f, g):
                 out.pop(m, None)
             else:
                 out[m] = c
-    return FracSeries(f.ctx, dict(sorted(out.items())), deg, max(f.depth_bound, g.depth_bound),
-                      f.laurent or g.laurent, _trusted=True)
+    return FracSeries(f.ctx, out, deg, max(f.depth_bound, g.depth_bound), f.laurent or g.laurent)
 
 
 def reference_compose(f, g):
@@ -291,18 +306,18 @@ def reference_revert(f):
     c1_inv = inv(f.coefficient(1))
     g_terms = {Fraction(1): c1_inv}
     for d in range(2, int(f.deg_bound) + 1):
-        g = FracSeries(f.ctx, g_terms, Fraction(d), 0, False, _trusted=True)
+        g = FracSeries(f.ctx, g_terms, Fraction(d), 0, False)
         err = reference_compose(f.truncate_degree(d), g).coefficient(d)
         b = -(err * c1_inv)
         if not b.is_zero():
             g_terms[Fraction(d)] = b
-    return FracSeries(f.ctx, g_terms, f.deg_bound, 0, False, _trusted=True)
+    return FracSeries(f.ctx, g_terms, f.deg_bound, 0, False)
 
 
 def fields(f):
     """Everything a series carries; FracSeries.__eq__ ignores the bounds and
     compares coefficients only at their shared precision."""
-    terms = [(m, type(m), c.shift, c.unit, c.prec) for m, c in f._terms.items()]
+    terms = [(m, type(m), c.shift, c.unit, c.prec) for m, c in f.items()]
     return terms, f.deg_bound, f.depth_bound, f.laurent
 
 
@@ -365,6 +380,23 @@ def test_mul_matches_fraction_reference(data):
     assert fields(g * f) == fields(reference_mul(g, f))
 
 
+@settings(max_examples=120, deadline=None)
+@given(data=st.data())
+def test_add_matches_fraction_reference(data):
+    # the operands' depth bounds are drawn independently, so the integer keys
+    # of one operand are rescaled to the other's
+    ctx = data.draw(rings())
+    pool = data.draw(coeff_pools(ctx))
+    f = data.draw(frac_series(ctx, pool))
+    g = data.draw(frac_series(ctx, pool))
+    assert fields(f + g) == fields(reference_add(f, g))
+    assert fields(g + f) == fields(reference_add(g, f))
+    # == compares at a common key scale
+    deeper = f.with_depth_bound(f.depth_bound + data.draw(st.integers(1, 2)))
+    assert deeper == f and f == deeper
+    assert (f == g) == (dict(f.items()) == dict(g.items()))
+
+
 @settings(max_examples=60, deadline=None)
 @given(data=st.data())
 def test_compose_matches_fraction_reference(data):
@@ -421,10 +453,11 @@ def test_mul_partial_sum_collapses_mid_accumulation():
 
 
 def assert_stored_in_order(f):
-    # items() and exponents() return the stored order without sorting
-    keys = list(f._terms)
+    # items() and exponents() return the terms in ascending exponent order
+    keys = f.exponents()
+    assert all(type(m) is Fraction for m in keys)
     assert all(a < b for a, b in zip(keys, keys[1:]))
-    assert f.exponents() == keys and f.items() == list(f._terms.items())
+    assert [m for m, _ in f.items()] == keys
 
 
 @settings(max_examples=40, deadline=None)

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from qcusp.coeff import CycloCoeff, new_ring
 from qcusp.errors import ContextMismatchError, DepthError, DomainError
-from qcusp.series import _mul_deg_bound, from_terms
+from qcusp.series import Exponent, _mul_deg_bound, from_terms
 from qcusp.tiltperf import (
     CharPSeries,
     TiltTower,
@@ -37,6 +37,11 @@ def q_tower(p: int, depth: int):
 def test_frobenius_examples():
     f = charp_from_terms(2, [(Fraction(1, 2), 1)], 1, 1)
     assert frobenius(f) == charp_from_terms(2, [(1, 1)], 2, 1)
+    # every exponent-like form: (num, depth) tuples and Exponent
+    g = charp_from_terms(3, [((1, 1), 2)], 2, 1)
+    assert g == charp_from_terms(3, [(Exponent(1, 1), 2)], 2, 1) == charp_from_terms(3, [(Fraction(1, 3), 2)], 2, 1)
+    assert frobenius(g).coefficient((1, 0)) == 2 and frobenius(g).coefficient(Exponent(3, 1)) == 2
+    assert CharPSeries(3, {(2, 0): 1}, 2, 1).coefficient((2, 0)) == 1
     z = charp_from_terms(2, [], 2, 2)
     assert frobenius(z).is_zero() and frobenius_inv(z).is_zero()
 
@@ -61,6 +66,13 @@ def test_frobenius_inv_depth_overflow():
     f = charp_from_terms(3, [(Fraction(1, 3), 1)], 1, 1)
     with pytest.raises(DepthError):
         frobenius_inv(f)
+
+
+def test_equality_ignores_bounds():
+    a = charp_from_terms(3, [(1, 2), (Fraction(1, 3), 1)], 3, 1)
+    b = charp_from_terms(3, [(1, 2), (Fraction(1, 3), 1)], 7, 3)
+    assert a == b and b == a
+    assert a != charp_from_terms(3, [(1, 2)], 7, 3)
 
 
 def test_tower_validation():
@@ -178,6 +190,21 @@ def test_reduce_mod_p_is_ring_map(rng):
         assert reduce_mod_p(f + g) == reduce_mod_p(f) + reduce_mod_p(g)
 
 
+def reference_charp_add(f, g):
+    """f+g by the Fraction-keyed loop, reducing mod p after every sum."""
+    deg = min(f.deg_bound, g.deg_bound)
+    out = {m: c for m, c in f.items() if m <= deg}
+    for m, c in g.items():
+        if m > deg:
+            continue
+        v = (out.get(m, 0) + c) % f.p
+        if v:
+            out[m] = v
+        else:
+            out.pop(m, None)
+    return CharPSeries(f.p, out, deg, max(f.depth_bound, g.depth_bound), f.laurent or g.laurent)
+
+
 def reference_charp_mul(f, g):
     """f*g by the Fraction-keyed loop, reducing mod p after every product."""
     deg = _mul_deg_bound(f, g)
@@ -192,12 +219,11 @@ def reference_charp_mul(f, g):
                 out[m] = v
             else:
                 out.pop(m, None)
-    return CharPSeries(f.p, dict(sorted(out.items())), deg, max(f.depth_bound, g.depth_bound),
-                       f.laurent or g.laurent, _trusted=True)
+    return CharPSeries(f.p, out, deg, max(f.depth_bound, g.depth_bound), f.laurent or g.laurent)
 
 
 def fields(f):
-    terms = [(m, type(m), c) for m, c in f._terms.items()]
+    terms = [(m, type(m), c) for m, c in f.items()]
     return terms, f.deg_bound, f.depth_bound, f.laurent
 
 
@@ -228,6 +254,21 @@ def test_charp_mul_matches_fraction_reference(data):
     g = data.draw(charp_series(p))
     assert fields(f * g) == fields(reference_charp_mul(f, g))
     assert fields(g * f) == fields(reference_charp_mul(g, f))
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_charp_add_matches_fraction_reference(data):
+    # depth bounds are drawn independently, so keys are rescaled to the larger
+    p = data.draw(st.sampled_from([2, 3, 5]))
+    f = data.draw(charp_series(p))
+    g = data.draw(charp_series(p))
+    assert fields(f + g) == fields(reference_charp_add(f, g))
+    assert fields(g + f) == fields(reference_charp_add(g, f))
+    # == compares at a common key scale
+    deeper = f.with_depth_bound(f.depth_bound + data.draw(st.integers(1, 2)))
+    assert deeper == f and f == deeper
+    assert (f == g) == (dict(f.items()) == dict(g.items()))
 
 
 def test_charp_mul_partial_sum_collapses_mid_accumulation():
@@ -278,9 +319,10 @@ def test_results_store_terms_in_ascending_order(data):
     f = data.draw(charp_series(p))
     g = data.draw(charp_series(p))
     results = [f, g, f + g, g + f, f * g, g * f, frobenius(f), frobenius_inv(frobenius(f))]
-    if all(m.denominator * p <= p**f.depth_bound for m in f._terms):
+    if all(m.denominator * p <= p**f.depth_bound for m in f.exponents()):
         results.append(frobenius_inv(f))
     for r in results:
-        keys = list(r._terms)
+        keys = r.exponents()
+        assert all(type(m) is Fraction for m in keys)
         assert all(a < b for a, b in zip(keys, keys[1:]))
-        assert r.items() == list(r._terms.items())
+        assert [m for m, _ in r.items()] == keys
