@@ -58,21 +58,18 @@ def _overrides(args) -> dict:
     }
 
 
-def _load_frac(args) -> tuple[FracSeries, dict]:
+_NEEDS_FRAC = "this subcommand needs a coefficient-ring (mode=frac) series"
+_NEEDS_CHARP = "this subcommand needs a mode=charp series"
+
+
+def _load(args, kind: type, message: str) -> tuple:
+    """The input series and its header metadata; the series must be a
+    `kind`, else QcuspError(message)."""
     text = _read_input(args.file)
     meta = header_metadata(text)
     series = parse_series(text, _overrides(args))
-    if not isinstance(series, FracSeries):
-        raise QcuspError("this subcommand needs a coefficient-ring (mode=frac) series")
-    return series, meta
-
-
-def _load_charp(args) -> tuple[CharPSeries, dict]:
-    text = _read_input(args.file)
-    meta = header_metadata(text)
-    series = parse_series(text, _overrides(args))
-    if not isinstance(series, CharPSeries):
-        raise QcuspError("this subcommand needs a mode=charp series")
+    if not isinstance(series, kind):
+        raise QcuspError(message)
     return series, meta
 
 
@@ -226,26 +223,26 @@ def _dispatch(argv: list[str], out) -> int:
 
     if args.command == "trace":
         _at_least("--n", args.n, 0)
-        series, meta = _load_frac(args)
+        series, meta = _load(args, FracSeries, _NEEDS_FRAC)
         traced = tate_trace(series, args.n)
         out.write(emit_series(traced, meta.get("cusp_label", ""), int(meta.get("e", "1"))))
         return EXIT_YES
 
     if args.command == "check-extends":
-        series, _ = _load_frac(args)
+        series, _ = _load(args, FracSeries, _NEEDS_FRAC)
         return _print_verdict(extends_to_cusp(series), out)
 
     if args.command == "integral":
-        series, _ = _load_frac(args)
+        series, _ = _load(args, FracSeries, _NEEDS_FRAC)
         return _print_verdict(is_integral(series), out)
 
     if args.command == "level":
-        series, _ = _load_frac(args)
+        series, _ = _load(args, FracSeries, _NEEDS_FRAC)
         out.write(f"{detect_level(series)}\n")
         return EXIT_YES
 
     if args.command == "act":
-        series, meta = _load_frac(args)
+        series, meta = _load(args, FracSeries, _NEEDS_FRAC)
         e = args.ex if args.ex is not None else int(meta.get("e", "1"))
         m = args.m if args.m is not None else max(1, series.depth_bound)
         g1 = _parse_gamma(parser, args.gamma, series.ctx.p, m)
@@ -271,14 +268,14 @@ def _dispatch(argv: list[str], out) -> int:
 
     if args.command == "tilt":
         _at_least("--depth", args.tower_depth, 1)
-        series, meta = _load_charp(args)
+        series, meta = _load(args, CharPSeries, _NEEDS_CHARP)
         tower = tower_from_charp(series, args.tower_depth)
         out.write(emit_tower(tower, meta.get("cusp_label", ""), int(meta.get("e", "1"))))
         return EXIT_YES
 
     if args.command == "perfection":
         _at_least("--iterations", args.iterations, 0)
-        series, meta = _load_charp(args)
+        series, meta = _load(args, CharPSeries, _NEEDS_CHARP)
         lifted = series.with_depth_bound(series.depth_bound + args.iterations)
         for _ in range(args.iterations):
             lifted = frobenius_inv(lifted)
@@ -286,7 +283,7 @@ def _dispatch(argv: list[str], out) -> int:
         return EXIT_YES
 
     if args.command == "classify-point":
-        series, _ = _load_frac(args)
+        series, _ = _load(args, FracSeries, _NEEDS_FRAC)
         val = v1minus(series)
         out.write(f"type {classify_point(val)}\n")
         out.write(f"v1minus {val.v} {val.g}\n")

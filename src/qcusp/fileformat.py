@@ -30,6 +30,8 @@ from .tiltperf import CharPSeries, TiltTower
 HEADER_ORDER = ("p", "k", "s", "depth", "deg", "laurent", "cusp_label", "e", "mode")
 
 _EXP_RE = re.compile(r"^(-?\d+)(?:/p\^(\d+))?$")
+_INT_RE = re.compile(r"-?\d+")  # int() alone would also take "+5", " 7" and "1_000"
+_PLUS_RE = re.compile(r"\s*\+\s*")
 _COEFF_RE = re.compile(r"^p\^(-?\d+)\*\((.*)\)$")
 _POLY_TERM_RE = re.compile(r"^(-?\d+)(\*z(\^(\d+))?)?$")
 _POLY_TERM_BARE_Z_RE = re.compile(r"^z(\^(\d+))?$")
@@ -81,7 +83,7 @@ def format_coefficient(c: CycloCoeff) -> str:
 
 def parse_coefficient(ctx: RingContext, text: str, line: int) -> CycloCoeff:
     text = text.strip()
-    if re.fullmatch(r"-?\d+", text):
+    if _INT_RE.fullmatch(text):
         return CycloCoeff.from_int(ctx, int(text))
     m = _COEFF_RE.match(text)
     if not m:
@@ -89,7 +91,7 @@ def parse_coefficient(ctx: RingContext, text: str, line: int) -> CycloCoeff:
     shift = int(m.group(1))
     body = m.group(2).strip()
     poly = [0] * max(ctx.phi, 1)
-    for part in re.split(r"\s*\+\s*", body):
+    for part in _PLUS_RE.split(body):
         part = part.strip()
         t = _POLY_TERM_RE.match(part)
         if t:
@@ -138,7 +140,7 @@ def emit_series(f: FracSeries | CharPSeries, cusp_label: str = "", e: int = 1) -
 
 
 def _parse_charp_coefficient(text: str, line: int) -> int:
-    if not re.fullmatch(r"-?\d+", text.strip()):
+    if not _INT_RE.fullmatch(text.strip()):
         raise SeriesFileError("charp coefficients are plain integers", line)
     return int(text)
 

@@ -19,6 +19,28 @@ larger depth bound. Fractions appear only at the public edge: constructor
 input, `items`, `exponents`, `coefficient`, `min_exponent` and `deg_bound`.
 Other modules read the keys through `lowest_terms`, `with_depth_bound` and
 `substitute_power`, so only this module computes or scales a stored key.
+
+Over CycloCoeff, products, `compose` and `revert` sum their coefficient
+products one at a time, in a fixed order, and drop a partial sum that
+collapses to zero; the precision of a result depends on that order
+(ROADMAP item 1). At phi = 1 (s = 0, or p = 2 with s = 1) they run the same
+sums on plain integers. There a nonzero coefficient p^shift * u is an integer
+unit u mod p^prec, known to the absolute precision shift + prec. A product of
+two nonzero coefficients is never zero, and its absolute precision is
+shift1 + shift2 + min(prec1, prec2). A partial sum is the normal form of the
+exact integer sum mod p^A, A the least absolute precision among its terms:
+a sum's absolute precision is the lesser of its operands' (a prec never
+exceeds k, so the cap at k digits above the lower shift never binds), and A
+never rises, so each reduction agrees with the ones before it. So each
+output key keeps a running integer R over p^base and the running
+minimum A, and the loop's collapse to zero is exactly R = 0 mod p^(A - base),
+after which the key restarts at its next product. A term enters as
+x = u * p^(shift - base), over one base shift per operand at most every
+shift of that operand, so that x1 * x2 is over the sum of the two bases. One
+CycloCoeff is built per surviving key, through `coeff._p_content`. The loop
+order is kept, so the results equal the coefficient loop's in shift, unit
+and prec, the order-dependent ones included. Above phi = 1, and over F_p,
+the coefficient loops run.
 """
 
 from __future__ import annotations
@@ -27,7 +49,7 @@ from fractions import Fraction
 from math import gcd, inf
 from typing import NamedTuple
 
-from .coeff import CycloCoeff, RingContext, inv
+from .coeff import CycloCoeff, RingContext, _p_content, inv
 from .errors import ContextMismatchError, DepthError, DomainError, NotInvertibleError
 
 
@@ -221,17 +243,26 @@ class _SparseSeries:
         return self + (-other)
 
     def __mul__(self, other):
-        """The product's key loop: self ascending outside, other ascending
-        inside, and a partial sum that is zero is dropped. Over CycloCoeff
-        the precision depends on that order (ROADMAP item 1); over F_p the
-        sums stay raw integers until `_normalize` reduces each term once."""
+        """The product at the larger depth bound, with a degree bound that
+        the unknown tails of both factors respect. `_products` forms the
+        terms: for FracSeries at phi = 1 on the integer kernel of the module
+        docstring, with one base shift per factor, and otherwise by the
+        coefficient loop, whose terms the kernel reproduces exactly."""
         self._check(other)
         deg = _mul_deg_bound(self, other)
         depth = max(self.depth_bound, other.depth_bound)
-        top = _top(deg, self.p**depth)
-        b = list(other._keys_at(depth).items())
+        terms = self._products(self._keys_at(depth), other._keys_at(depth), _top(deg, self.p**depth))
+        return self._new(terms, deg, depth, self.laurent or other.laurent)
+
+    def _products(self, a: dict, b: dict, top) -> dict:
+        """The product's key loop: a ascending outside, b ascending inside,
+        keys up to top, and a partial sum that is zero is dropped. Over
+        CycloCoeff the precision depends on that order (ROADMAP item 1); over
+        F_p the sums stay raw integers until `_normalize` reduces each term
+        once."""
+        b = list(b.items())
         out: dict = {}
-        for m1, c1 in self._keys_at(depth).items():
+        for m1, c1 in a.items():
             for m2, c2 in b:
                 m = m1 + m2
                 if m > top:
@@ -244,8 +275,7 @@ class _SparseSeries:
                 else:
                     out.pop(m, None)
         normalize = self._normalize
-        terms = {m: c for m in sorted(out) if (c := normalize(out[m])) is not None}
-        return self._new(terms, deg, depth, self.laurent or other.laurent)
+        return {m: c for m in sorted(out) if (c := normalize(out[m])) is not None}
 
     def truncate_degree(self, new_deg):
         """Forget all terms above new_deg and lower the degree bound."""
@@ -274,6 +304,87 @@ def _mul_deg_bound(f, g):
     return min(left, right)
 
 
+# -- the phi = 1 integer kernel (see the module docstring) -------------------------
+
+
+def _least_shift(terms) -> int:
+    return min((c.shift for _, c in terms), default=0)
+
+
+def _int_terms(terms) -> tuple[int, list]:
+    """The least shift `base` of (key, coefficient) pairs (0 for none), and
+    their entries (key, x, shift, prec) with x the coefficient over p^base."""
+    terms = list(terms)
+    base = _least_shift(terms)
+    return base, [(m, c.unit[0] * c.ctx.p ** (c.shift - base), c.shift, c.prec) for m, c in terms]
+
+
+def _int_convolve(a: list, b: list, top, out: dict, base: int, p: int) -> dict:
+    """Add the products of the entries of a and b with keys up to top into
+    out, in the loop's order: a ascending outside, b ascending inside. out
+    maps a key to [R, A, p^(A - base)], R the running sum over p^base and A
+    the running least absolute precision; a key is dropped, and restarts at
+    its next product, when R = 0 mod p^(A - base)."""
+    for m1, x1, s1, q1 in a:
+        for m2, x2, s2, q2 in b:
+            m = m1 + m2
+            if m > top:
+                break
+            t = s1 + s2 + (q1 if q1 < q2 else q2)
+            slot = out.get(m)
+            if slot is None:
+                out[m] = [x1 * x2, t, p ** (t - base)]  # never zero at phi = 1
+                continue
+            r = slot[0] + x1 * x2
+            if t < slot[1]:
+                slot[1] = t
+                slot[2] = p ** (t - base)
+            if r % slot[2]:
+                slot[0] = r
+            else:
+                del out[m]
+    return out
+
+
+def _int_dot(pairs, base: int, p: int) -> list | None:
+    """The slot [R, A, p^(A - base)] of the sum of products x1 * x2 over the
+    entry pairs ((x1, shift1, prec1), (x2, shift2, prec2)), in their order
+    and with `_int_convolve`'s drops; None when the last partial sum drops."""
+    slot = None
+    for (x1, s1, q1), (x2, s2, q2) in pairs:
+        t = s1 + s2 + (q1 if q1 < q2 else q2)
+        if slot is None:
+            slot = [x1 * x2, t, p ** (t - base)]
+            continue
+        r = slot[0] + x1 * x2
+        if t < slot[1]:
+            slot[1] = t
+            slot[2] = p ** (t - base)
+        if r % slot[2]:
+            slot[0] = r
+        else:
+            slot = None
+    return slot
+
+
+def _int_entry(ctx: RingContext, slot: list, base: int) -> tuple[int, int, int]:
+    """The entry (x, shift, prec) of a slot's normal form, x over p^base."""
+    r, a, mod = slot
+    x = r % mod
+    shift, _, prec = _p_content(ctx, base, (x,), a - base)
+    return x, shift, prec
+
+
+def _int_coeff(ctx: RingContext, slot: list, base: int) -> CycloCoeff:
+    r, a, mod = slot
+    return CycloCoeff(ctx, *_p_content(ctx, base, (r % mod,), a - base), _normalized=True)
+
+
+def _int_coeffs(ctx: RingContext, out: dict, base: int, scale: int = 1) -> dict:
+    """One CycloCoeff per slot of out, keys ascending and multiplied by scale."""
+    return {m * scale: _int_coeff(ctx, out[m], base) for m in sorted(out)}
+
+
 class FracSeries(_SparseSeries):
     """Finite q-expansion over a CycloCoeff ring with truncation bounds."""
 
@@ -299,6 +410,15 @@ class FracSeries(_SparseSeries):
         if c.ctx is not self.ctx and c.ctx != self.ctx:
             raise ContextMismatchError("coefficient context differs from series context")
         return None if c.is_zero() else c
+
+    def _products(self, a: dict, b: dict, top) -> dict:
+        """At phi = 1 the integer kernel, with one base shift per factor;
+        above phi = 1 the coefficient loop."""
+        if self.ctx.phi != 1:
+            return _SparseSeries._products(self, a, b, top)
+        ba, ea = _int_terms(a.items())
+        bb, eb = _int_terms(b.items())
+        return _int_coeffs(self.ctx, _int_convolve(ea, eb, top, {}, ba + bb, self.p), ba + bb)
 
     def equals_mod(self, other: "FracSeries", digits: int) -> bool:
         """Termwise coefficient equality after re-truncation to `digits`."""
@@ -445,8 +565,11 @@ def compose(f: FracSeries, g: FracSeries) -> FracSeries:
     """Substitute g into f. Requires integer exponents on f, and strictly
     positive integer exponents on g.
 
-    Works on dense lists through n = min(deg, max exp(f) * max exp(g)): the
-    powers g^e by `_dense_mul`, and sum_e f_e g^e accumulated in ascending e.
+    Works through n = min(deg, max exp(f) * max exp(g)): the powers g^e, each
+    the product of the last by g in `FracSeries.__mul__`'s order, and
+    sum_e f_e g^e accumulated in ascending e. At phi = 1 both run on the
+    integer kernel (`_compose_int`), with the same drops and so the same
+    coefficients as the loop on dense lists that runs above phi = 1.
     """
     f._check(g)
     if f.max_depth() != 0 or any(k < 0 for k in f._terms):
@@ -461,43 +584,65 @@ def compose(f: FracSeries, g: FracSeries) -> FracSeries:
     n = max_f * max_g
     if deg != inf:
         n = min(n, _top(deg, 1))  # g^e starts at q^e, so f's terms above n drop
-    gd = _dense(g, n)
-    gp = [None] * (n + 1)  # g^power
-    gp[0] = CycloCoeff.one(ctx)
-    acc = [None] * (n + 1)
-    power = 0
-    for e, c in enumerate(_dense(f, n)):
-        if c is None:
-            continue
-        while power < e:
-            gp = _dense_mul(gp, gd, n)
-            power += 1
-        for i, v in enumerate(gp):
-            if v is None:
-                continue
-            w = v * c
-            s = acc[i]
-            if s is not None:
-                w = s + w
-            acc[i] = None if w.is_zero() else w
     depth = max(f.depth_bound, g.depth_bound)
-    return f._new(_sparse(acc, ctx.p**depth), deg, depth, f.laurent or g.laurent)
+    den = ctx.p**depth
+    if ctx.phi == 1:
+        terms = _compose_int(ctx, _indexed(f, n), _indexed(g, n), n, den)
+    else:
+        gd = _dense(g, n)
+        gp = [None] * (n + 1)  # g^power
+        gp[0] = CycloCoeff.one(ctx)
+        acc = [None] * (n + 1)
+        power = 0
+        for e, c in _indexed(f, n):
+            while power < e:
+                gp = _dense_mul(gp, gd, n)
+                power += 1
+            for i, v in enumerate(gp):
+                if v is None:
+                    continue
+                w = v * c
+                s = acc[i]
+                if s is not None:
+                    w = s + w
+                acc[i] = None if w.is_zero() else w
+        terms = {i * den: c for i, c in enumerate(acc) if c is not None}
+    return f._new(terms, deg, depth, f.laurent or g.laurent)
+
+
+def _compose_int(ctx: RingContext, fi: list, gi: list, n: int, den: int) -> dict:
+    """compose's sum at phi = 1, keys over den. g^e is kept over
+    p^(e * base_g), base_g the least shift of g; the sum is kept over p^B,
+    with B at most every shift(f_e) + e * base_g, and f_e is scaled so that
+    f_e g^e lands there."""
+    p = ctx.p
+    bg, gd = _int_terms(gi)
+    B = _least_shift(fi) + min(0, fi[-1][0] * bg if fi else 0)
+    gp, base, power = [(0, 1, 0, ctx.k)], 0, 0  # g^0 = 1
+    acc: dict = {}
+    for e, c in fi:
+        while power < e:
+            base += bg
+            out = _int_convolve(gp, gd, n, {}, base, p)
+            gp = [(i, *_int_entry(ctx, out[i], base)) for i in sorted(out)]
+            power += 1
+        x = c.unit[0] * p ** (c.shift + base - B)
+        _int_convolve([(0, x, c.shift, c.prec)], gp, n, acc, B, p)
+    return _int_coeffs(ctx, acc, B, den)
+
+
+def _indexed(f: FracSeries, n: int) -> list:
+    """(exponent, coefficient) pairs of an integer-exponent series through q^n."""
+    den = f.p**f.depth_bound
+    return [(k // den, c) for k, c in f._terms.items() if k <= n * den]
 
 
 def _dense(f: FracSeries, n: int) -> list:
     """An integer-exponent series through q^n as a list; None marks absent."""
-    den = f.p**f.depth_bound
     out = [None] * (n + 1)
-    for k, c in f._terms.items():
-        if k > n * den:
-            break
-        out[k // den] = c
+    for i, c in _indexed(f, n):
+        out[i] = c
     return out
-
-
-def _sparse(a: list, den: int) -> dict[int, CycloCoeff]:
-    """A dense list as integer keys over den."""
-    return {i * den: c for i, c in enumerate(a) if c is not None}
 
 
 def _dense_mul(a: list, b: list, n: int) -> list:
@@ -530,7 +675,8 @@ def revert(f: FracSeries) -> FracSeries:
     j = 2..d, then b_d = -(sum_j P[j][d] a_j) / c1. That is O(n^3)
     coefficient products, in the order compose(f, g) would perform them.
     It divides only by the unit c1, so no p-adic digits are spent, as
-    Lagrange's 1/d would spend them.
+    Lagrange's 1/d would spend them. At phi = 1 the sums run on the integer
+    kernel (`_revert_int`), with the loop's drops and so its coefficients.
     """
     ctx = f.ctx
     if f.max_depth() != 0 or any(k < 0 for k in f._terms):
@@ -544,6 +690,8 @@ def revert(f: FracSeries) -> FracSeries:
     if f.deg_bound == inf:
         raise DomainError("reversion needs a finite degree bound")
     degree = int(f.deg_bound)
+    if ctx.phi == 1:
+        return f._new(_revert_int(ctx, _indexed(f, degree), c1_inv, degree), f.deg_bound, 0, False)
     a = _dense(f, degree)
     b = [None] * (degree + 1)
     b[1] = c1_inv
@@ -573,7 +721,39 @@ def revert(f: FracSeries) -> FracSeries:
             bd = -(err * c1_inv)
             if not bd.is_zero():
                 b[d] = bd
-    return f._new(_sparse(b, 1), f.deg_bound, 0, False)
+    return f._new({i: c for i, c in enumerate(b) if c is not None}, f.deg_bound, 0, False)
+
+
+def _revert_int(ctx: RingContext, fi: list, c1_inv: CycloCoeff, degree: int) -> dict:
+    """revert's power table at phi = 1. With lam = max(0, -least shift of f),
+    P[j][d] has shift at least -(d - j) lam and is kept over that base, and
+    a_j is kept over p^(-(j - 1) lam): then every product of a power-table
+    sum, and every P[j][d] a_j, lands on its sum's base."""
+    p = ctx.p
+    lam = max(0, -_least_shift(fi))
+    a = {j: (c.unit[0] * p ** (c.shift + (j - 1) * lam), c.shift, c.prec) for j, c in fi if j >= 2}
+    inv_entry = (c1_inv.unit[0], 0, c1_inv.prec)
+    b = {1: inv_entry}  # P[1]
+    P = [None, b] + [{} for _ in range(2, degree + 1)]
+    coeffs = {1: c1_inv}
+    for d in range(2, degree + 1):
+        products = []  # P[j][d] a_j, ascending in j
+        for j in range(2, d + 1):
+            prev, base = P[j - 1], -(d - j) * lam
+            slot = _int_dot([(prev[m], b[d - m]) for m in range(j - 1, d) if m in prev and d - m in b], base, p)
+            if slot is None:
+                continue
+            e = P[j][d] = _int_entry(ctx, slot, base)
+            if j in a:
+                products.append((e, a[j]))
+        base = -(d - 1) * lam
+        err = _int_dot(products, base, p)
+        if err is not None:
+            x, s, q = _int_entry(ctx, err, base)
+            slot = _int_dot([((-x, s, q), inv_entry)], base, p)  # -(err * c1_inv), never zero
+            b[d] = _int_entry(ctx, slot, base)
+            coeffs[d] = _int_coeff(ctx, slot, base)
+    return coeffs
 
 
 # -- families ----------------------------------------------------------------

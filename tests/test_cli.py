@@ -198,3 +198,10 @@ def test_global_flag_positions_agree():
     a = run_text(["--p", "5", "--k", "6", "--s", "1", "jseries", "--terms", "4"])
     b = run_text(["jseries", "--p", "5", "--k", "6", "--s", "1", "--terms", "4"])
     assert a == b
+
+
+def test_wrong_series_mode_is_a_usage_error(capsys):
+    assert run_text(["level", str(GOLDEN / "in_charp.txt")]) == (EXIT_USAGE, "")
+    assert capsys.readouterr().err == "qcusp: this subcommand needs a coefficient-ring (mode=frac) series\n"
+    assert run_text(["tilt", "--depth", "2", str(GOLDEN / "in_frac.txt")]) == (EXIT_USAGE, "")
+    assert capsys.readouterr().err == "qcusp: this subcommand needs a mode=charp series\n"

@@ -132,3 +132,25 @@ def test_tower_header_mismatch():
     text = emit_tower(t).replace("tower 3", "tower 2", 1)
     with pytest.raises(SeriesFileError):
         parse_tower(text)
+
+
+FRAC_HEAD = "p=5\nk=4\ns=0\ndepth=0\ndeg=2\nlaurent=false\n"
+CHARP_HEAD = FRAC_HEAD.replace("k=4", "k=1") + "mode=charp\n"
+
+
+@pytest.mark.parametrize("text,value", [("-12", -12), ("0", 0)])
+def test_plain_integer_coefficients_parse(text, value):
+    f = parse_series(FRAC_HEAD + f"1 : {text}\n")
+    assert f.coefficient(1) == CycloCoeff.from_int(f.ctx, value)
+    assert parse_series(CHARP_HEAD + f"1 : {text}\n").coefficient(1) == value % 5
+
+
+@pytest.mark.parametrize("text", ["+5", "1_000", "5 5"])
+def test_integer_lookalikes_are_rejected(text):
+    # int() would take "+5" and "1_000"; the grammar's <int> is -?digits
+    with pytest.raises(SeriesFileError) as err:
+        parse_series(FRAC_HEAD + f"1 : {text}\n")
+    assert str(err.value) == f"bad coefficient syntax {text!r} (line 7)"
+    with pytest.raises(SeriesFileError) as err:
+        parse_series(CHARP_HEAD + f"1 : {text}\n")
+    assert str(err.value) == "charp coefficients are plain integers (line 8)"

@@ -483,3 +483,100 @@ def test_results_store_terms_in_ascending_order(data):
     results.append(revert(FracSeries(ctx, {Fraction(1): CycloCoeff.one(ctx), **terms}, n, 0, False)))
     for r in [f, g, *results]:
         assert_stored_in_order(r)
+
+
+# -- the phi = 1 integer kernel against the coefficient loops ----------------
+
+
+@st.composite
+def phi1_rings(draw):
+    """s = 0 for p in {2, 3, 5, 7}, and p = 2 with s = 1, where zeta = -1."""
+    p, s = draw(st.sampled_from([(2, 0), (3, 0), (5, 0), (7, 0), (2, 1)]))
+    return new_ring(p, draw(st.integers(1, 8)), s)
+
+
+@st.composite
+def phi1_coeffs(draw, ctx, pool):
+    """A pool coefficient, sometimes known to fewer digits or moved to a
+    more negative shift, so that precisions and shifts differ across terms."""
+    c = draw(pool_coeffs(ctx, pool))
+    if draw(st.booleans()):
+        c = c.reduce_precision(draw(st.integers(1, ctx.k)))
+    return c.p_times(draw(st.sampled_from([0, 0, -1, -3])))
+
+
+@st.composite
+def phi1_series(draw, ctx, pool, integer=False, positive=False, top=24):
+    f = draw(frac_series(ctx, pool, integer, positive, top))
+    terms = {m: draw(phi1_coeffs(ctx, [c])) for m, c in f.items()}
+    return FracSeries(ctx, terms, f.deg_bound, f.depth_bound, f.laurent)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_phi1_mul_matches_the_loop(data):
+    ctx = data.draw(phi1_rings())
+    pool = data.draw(coeff_pools(ctx))
+    f = data.draw(phi1_series(ctx, pool))
+    g = data.draw(phi1_series(ctx, pool))
+    assert fields(f * g) == fields(reference_mul(f, g))
+    assert fields(g * f) == fields(reference_mul(g, f))
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_phi1_compose_matches_the_loop(data):
+    ctx = data.draw(phi1_rings())
+    pool = data.draw(coeff_pools(ctx))
+    f = data.draw(phi1_series(ctx, pool, integer=True, top=8))
+    g = data.draw(phi1_series(ctx, pool, integer=True, positive=True, top=6))
+    assert fields(compose(f, g)) == fields(reference_compose(f, g))
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_phi1_revert_matches_the_loop(data):
+    ctx = data.draw(phi1_rings())
+    pool = data.draw(coeff_pools(ctx))
+    n = data.draw(st.integers(1, 8))
+    u = data.draw(st.integers(1, ctx.pk - 1).filter(lambda v: v % ctx.p))
+    terms = {Fraction(1): CycloCoeff.from_int(ctx, u).reduce_precision(data.draw(st.integers(1, ctx.k)))}
+    for d in range(2, n + 1):
+        if data.draw(st.booleans()):
+            terms[Fraction(d)] = data.draw(phi1_coeffs(ctx, pool))
+    f = FracSeries(ctx, terms, n, 0, False)
+    assert fields(revert(f)) == fields(reference_revert(f))
+
+
+def test_phi1_mul_drops_after_a_low_precision_product():
+    # f = 1 + q^(1/5) + q^(2/5) + 3 q^(3/5), g = 7 + q^(1/5) + 3 q^(2/5) + q^(3/5)
+    # with g's 3 known to one digit. At q^(3/5) the products arrive as
+    # 1, 3 (A drops to 1), 1: 1 + 3 + 1 = 5 collapses, and 3 * 7 = 21
+    # restarts at 4 digits. At q^1 they arrive as 1, 9: the one-digit
+    # product itself cancels, and the key drops.
+    ctx = new_ring(5, 4, 0)
+    low3 = CycloCoeff.from_int(ctx, 3).reduce_precision(1)
+    f = from_terms(ctx, [(0, 1), ((1, 1), 1), ((2, 1), 1), ((3, 1), 3)], 1, 1)
+    g = from_terms(ctx, [(0, 7), ((1, 1), 1), ((2, 1), low3), ((3, 1), 1)], 1, 1)
+    fg = f * g
+    assert fields(fg) == fields(reference_mul(f, g))
+    assert fields(g * f) == fields(reference_mul(g, f))
+    got = {m: (c.shift, c.unit, c.prec) for m, c in fg.items()}
+    assert got == {0: (0, (7,), 4), Fraction(1, 5): (0, (8,), 4), Fraction(2, 5): (0, (1,), 1),
+                   Fraction(3, 5): (0, (21,), 4), Fraction(4, 5): (0, (2,), 1)}
+
+
+def test_phi1_compose_drops_after_a_low_precision_product():
+    # g = q + q^2 + q^3 + q^4, so [q^4] g^e = 1, 3, 3, 1 for e = 1..4, and
+    # f = q + 2 q^2 + q^3 + 7 q^4 with f's 2 known to one digit. At q^4 the
+    # sum over e takes 1, 6 (A drops to 1), 3: 1 + 6 + 3 = 10 collapses, and
+    # 7 restarts at 4 digits. At q^3 it takes 1, 4: the one-digit product
+    # itself cancels, and 1 restarts at 4 digits.
+    ctx = new_ring(5, 4, 0)
+    low2 = CycloCoeff.from_int(ctx, 2).reduce_precision(1)
+    f = from_terms(ctx, [(1, 1), (2, low2), (3, 1), (4, 7)], 4, 0)
+    g = from_terms(ctx, [(1, 1), (2, 1), (3, 1), (4, 1)], 4, 0)
+    fg = compose(f, g)
+    assert fields(fg) == fields(reference_compose(f, g))
+    got = {int(m): (c.shift, c.unit, c.prec) for m, c in fg.items()}
+    assert got == {1: (0, (1,), 4), 2: (0, (3,), 1), 3: (0, (1,), 4), 4: (0, (7,), 4)}
