@@ -14,7 +14,7 @@ import sys
 
 from .action import CuspPoint, Mat2, ProjPoint, act_cusp
 from .coeff import RingContext, new_ring
-from .errors import QcuspError
+from .errors import QcuspError, SeriesFileError
 from .fileformat import (
     emit_series,
     emit_tower,
@@ -45,10 +45,18 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _read_input(path: str) -> str:
-    if path == "-":
-        return sys.stdin.read()
-    with open(path, "r", encoding="utf-8") as fh:
-        return fh.read()
+    """The UTF-8 text of a file, or of stdin for "-"; an input that cannot
+    be read or is not UTF-8 is an input error."""
+    try:
+        if path != "-":
+            with open(path, "r", encoding="utf-8") as fh:
+                return fh.read()
+        raw = getattr(sys.stdin, "buffer", None)  # absent on a text stream put in place of stdin
+        return sys.stdin.read() if raw is None else raw.read().decode("utf-8")
+    except OSError as exc:
+        raise QcuspError(str(exc))
+    except UnicodeDecodeError as exc:
+        raise QcuspError(f"{'stdin' if path == '-' else repr(path)} is not UTF-8: {exc}")
 
 
 def _overrides(args) -> dict:
@@ -63,14 +71,18 @@ _NEEDS_CHARP = "this subcommand needs a mode=charp series"
 
 
 def _load(args, kind: type, message: str) -> tuple:
-    """The input series and its header metadata; the series must be a
-    `kind`, else QcuspError(message)."""
+    """The input series, its cusp label and its renormalization index e;
+    the series must be a `kind`, else QcuspError(message)."""
     text = _read_input(args.file)
     meta = header_metadata(text)
     series = parse_series(text, _overrides(args))
     if not isinstance(series, kind):
         raise QcuspError(message)
-    return series, meta
+    try:
+        e = int(meta.get("e", "1"))
+    except ValueError:
+        raise SeriesFileError(f"bad e header {meta['e']!r}")
+    return series, meta.get("cusp_label", ""), e
 
 
 def _print_verdict(v: PrincipleVerdict, out) -> int:
@@ -116,20 +128,22 @@ def _parse_gamma(parser: _Parser, text: str, p: int, m: int) -> Mat2:
         parser.error(f"--gamma wants four comma-separated integers, got {text!r}")
 
 
+_GLOBAL_OPTIONS = (
+    ("p", int, "prime (header override / generation parameter)"),
+    ("k", int, "p-adic precision exponent"),
+    ("s", int, "cyclotomic depth"),
+    ("depth", int, "denominator depth bound"),
+    ("deg", str, "degree bound"),
+)
+
+
 def _add_global_options(parser, default, skip=()) -> None:
     """The header-override options; accepted before or after the subcommand.
     Subparsers pass default=SUPPRESS so they never clobber a value that was
     already parsed at the top level."""
-    if "p" not in skip:
-        parser.add_argument("--p", type=int, default=default, help="prime (header override / generation parameter)")
-    if "k" not in skip:
-        parser.add_argument("--k", type=int, default=default, help="p-adic precision exponent")
-    if "s" not in skip:
-        parser.add_argument("--s", type=int, default=default, help="cyclotomic depth")
-    if "depth" not in skip:
-        parser.add_argument("--depth", type=int, default=default, help="denominator depth bound")
-    if "deg" not in skip:
-        parser.add_argument("--deg", default=default, help="degree bound")
+    for name, kind, help_text in _GLOBAL_OPTIONS:
+        if name not in skip:
+            parser.add_argument(f"--{name}", type=kind, default=default, help=help_text)
 
 
 @functools.cache
@@ -199,9 +213,6 @@ def run(argv: list[str], out=None) -> int:
         return _dispatch(argv, out if out is not None else sys.stdout)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
-    except FileNotFoundError as exc:
-        sys.stderr.write(f"qcusp: {exc}\n")
-        return EXIT_USAGE
     except QcuspError as exc:
         sys.stderr.write(f"qcusp: {exc}\n")
         return EXIT_USAGE
@@ -223,34 +234,34 @@ def _dispatch(argv: list[str], out) -> int:
 
     if args.command == "trace":
         _at_least("--n", args.n, 0)
-        series, meta = _load(args, FracSeries, _NEEDS_FRAC)
-        traced = tate_trace(series, args.n)
-        out.write(emit_series(traced, meta.get("cusp_label", ""), int(meta.get("e", "1"))))
+        series, label, e = _load(args, FracSeries, _NEEDS_FRAC)
+        out.write(emit_series(tate_trace(series, args.n), label, e))
         return EXIT_YES
 
     if args.command == "check-extends":
-        series, _ = _load(args, FracSeries, _NEEDS_FRAC)
+        series, _, _ = _load(args, FracSeries, _NEEDS_FRAC)
         return _print_verdict(extends_to_cusp(series), out)
 
     if args.command == "integral":
-        series, _ = _load(args, FracSeries, _NEEDS_FRAC)
+        series, _, _ = _load(args, FracSeries, _NEEDS_FRAC)
         return _print_verdict(is_integral(series), out)
 
     if args.command == "level":
-        series, _ = _load(args, FracSeries, _NEEDS_FRAC)
+        series, _, _ = _load(args, FracSeries, _NEEDS_FRAC)
         out.write(f"{detect_level(series)}\n")
         return EXIT_YES
 
     if args.command == "act":
-        series, meta = _load(args, FracSeries, _NEEDS_FRAC)
-        e = args.ex if args.ex is not None else int(meta.get("e", "1"))
+        series, label, e = _load(args, FracSeries, _NEEDS_FRAC)
+        if args.ex is not None:
+            e = args.ex
         m = args.m if args.m is not None else max(1, series.depth_bound)
         g1 = _parse_gamma(parser, args.gamma, series.ctx.p, m)
         if args.x_gamma is None:
             base = Mat2.identity(series.ctx.p, m)
         else:
             base = _parse_gamma(parser, args.x_gamma, series.ctx.p, m)
-        x = CuspPoint(base, series, e, meta.get("cusp_label", ""))
+        x = CuspPoint(base, series, e, label)
         y = act_cusp(g1, x)
         g = y.gamma
         out.write(f"gamma {g.a},{g.b},{g.c},{g.d}\n")
@@ -268,22 +279,21 @@ def _dispatch(argv: list[str], out) -> int:
 
     if args.command == "tilt":
         _at_least("--depth", args.tower_depth, 1)
-        series, meta = _load(args, CharPSeries, _NEEDS_CHARP)
-        tower = tower_from_charp(series, args.tower_depth)
-        out.write(emit_tower(tower, meta.get("cusp_label", ""), int(meta.get("e", "1"))))
+        series, label, e = _load(args, CharPSeries, _NEEDS_CHARP)
+        out.write(emit_tower(tower_from_charp(series, args.tower_depth), label, e))
         return EXIT_YES
 
     if args.command == "perfection":
         _at_least("--iterations", args.iterations, 0)
-        series, meta = _load(args, CharPSeries, _NEEDS_CHARP)
+        series, label, e = _load(args, CharPSeries, _NEEDS_CHARP)
         lifted = series.with_depth_bound(series.depth_bound + args.iterations)
         for _ in range(args.iterations):
             lifted = frobenius_inv(lifted)
-        out.write(emit_series(lifted, meta.get("cusp_label", ""), int(meta.get("e", "1"))))
+        out.write(emit_series(lifted, label, e))
         return EXIT_YES
 
     if args.command == "classify-point":
-        series, _ = _load(args, FracSeries, _NEEDS_FRAC)
+        series, _, _ = _load(args, FracSeries, _NEEDS_FRAC)
         val = v1minus(series)
         out.write(f"type {classify_point(val)}\n")
         out.write(f"v1minus {val.v} {val.g}\n")

@@ -252,16 +252,21 @@ class CycloCoeff:
     def from_poly(cls, ctx: RingContext, coeffs: list[int] | tuple[int, ...], shift: int = 0) -> "CycloCoeff":
         """Exact embedding of p^shift * (c0 + c1 x + ...) for integer ci.
 
-        Integer p-content is extracted before reduction mod (Phi, p^k).
+        Integer p-content, found with one gcd, is extracted before reduction
+        mod (Phi, p^k); the constructor extracts what the reduction creates.
         """
-        coeffs = list(coeffs)
-        if all(c == 0 for c in coeffs):
+        g = gcd(*coeffs)
+        if g == 0:
             return cls.zero(ctx)
         p = ctx.p
-        while all(c % p == 0 for c in coeffs):
-            coeffs = [c // p for c in coeffs]
-            shift += 1
-        return cls(ctx, shift, _reduce(ctx, coeffs, ctx.pk))
+        t = 0
+        while g % p == 0:
+            g //= p
+            t += 1
+        if t:
+            q = p**t
+            coeffs = [c // q for c in coeffs]
+        return cls(ctx, shift + t, _reduce(ctx, coeffs, ctx.pk))
 
     # -- predicates --------------------------------------------------------
 
@@ -269,7 +274,7 @@ class CycloCoeff:
         return not any(self.unit)
 
     def __bool__(self) -> bool:
-        return not self.is_zero()
+        return any(self.unit)
 
     def __eq__(self, other: object) -> bool:
         """Equality of normal forms at the shared precision."""

@@ -45,7 +45,7 @@ def _format_deg(deg) -> str:
     return str(deg.numerator) if deg.denominator == 1 else f"{deg.numerator}/{deg.denominator}"
 
 
-def _parse_deg(text: str, line: int):
+def _parse_deg(text: str, line: int | None = None):
     if text == "inf":
         return inf
     try:
@@ -179,7 +179,7 @@ def parse_series(text: str, overrides: dict | None = None) -> FracSeries | CharP
         depth_bound = int(header["depth"])
     except ValueError as exc:
         raise SeriesFileError(f"bad numeric header: {exc}")
-    deg_bound = _parse_deg(header["deg"], 0)
+    deg_bound = _parse_deg(header["deg"])
     if header["laurent"] not in ("true", "false"):
         raise SeriesFileError("laurent must be true or false")
     laurent = header["laurent"] == "true"

@@ -39,8 +39,10 @@ x = u * p^(shift - base), over one base shift per operand at most every
 shift of that operand, so that x1 * x2 is over the sum of the two bases. One
 CycloCoeff is built per surviving key, through `coeff._p_content`. The loop
 order is kept, so the results equal the coefficient loop's in shift, unit
-and prec, the order-dependent ones included. Above phi = 1, and over F_p,
-the coefficient loops run.
+and prec, the order-dependent ones included. Above phi = 1 the coefficient
+loops run: `_SparseSeries._products` forms products and compose's powers
+g^e, and `_fold` sums compose's f_e g^e and revert's power table, all keyed
+by integer exponent. Over F_p, `_products` runs on raw integers.
 """
 
 from __future__ import annotations
@@ -268,8 +270,9 @@ class _SparseSeries:
                 if m > top:
                     break
                 c = c1 * c2
-                if m in out:
-                    c = out[m] + c
+                s = out.get(m)  # a stored sum is never None
+                if s is not None:
+                    c = s + c
                 if c:
                     out[m] = c
                 else:
@@ -566,10 +569,10 @@ def compose(f: FracSeries, g: FracSeries) -> FracSeries:
     positive integer exponents on g.
 
     Works through n = min(deg, max exp(f) * max exp(g)): the powers g^e, each
-    the product of the last by g in `FracSeries.__mul__`'s order, and
-    sum_e f_e g^e accumulated in ascending e. At phi = 1 both run on the
+    the product of the last by g in `_products`, and sum_e f_e g^e
+    accumulated in ascending e by `_fold`. At phi = 1 both run on the
     integer kernel (`_compose_int`), with the same drops and so the same
-    coefficients as the loop on dense lists that runs above phi = 1.
+    coefficients as the coefficient loops that run above phi = 1.
     """
     f._check(g)
     if f.max_depth() != 0 or any(k < 0 for k in f._terms):
@@ -589,24 +592,19 @@ def compose(f: FracSeries, g: FracSeries) -> FracSeries:
     if ctx.phi == 1:
         terms = _compose_int(ctx, _indexed(f, n), _indexed(g, n), n, den)
     else:
-        gd = _dense(g, n)
-        gp = [None] * (n + 1)  # g^power
-        gp[0] = CycloCoeff.one(ctx)
-        acc = [None] * (n + 1)
+        gi = dict(_indexed(g, n))
+        gp = {0: CycloCoeff.one(ctx)}  # g^power
+        acc: dict = {}
         power = 0
         for e, c in _indexed(f, n):
             while power < e:
-                gp = _dense_mul(gp, gd, n)
+                gp = f._products(gp, gi, n)
                 power += 1
-            for i, v in enumerate(gp):
-                if v is None:
-                    continue
-                w = v * c
-                s = acc[i]
-                if s is not None:
-                    w = s + w
-                acc[i] = None if w.is_zero() else w
-        terms = {i * den: c for i, c in enumerate(acc) if c is not None}
+            for i, v in gp.items():
+                w = _fold((v * c,), acc.pop(i, None))
+                if w is not None:
+                    acc[i] = w
+        terms = {i * den: acc[i] for i in sorted(acc)}
     return f._new(terms, deg, depth, f.laurent or g.laurent)
 
 
@@ -637,33 +635,15 @@ def _indexed(f: FracSeries, n: int) -> list:
     return [(k // den, c) for k, c in f._terms.items() if k <= n * den]
 
 
-def _dense(f: FracSeries, n: int) -> list:
-    """An integer-exponent series through q^n as a list; None marks absent."""
-    out = [None] * (n + 1)
-    for i, c in _indexed(f, n):
-        out[i] = c
-    return out
-
-
-def _dense_mul(a: list, b: list, n: int) -> list:
-    """a*b through q^n, in the accumulation order of FracSeries.__mul__:
-    a ascending outside, b ascending inside, and a sum that cancels to zero
-    is dropped."""
-    bl = [(j, c) for j, c in enumerate(b) if c is not None]
-    out = [None] * (n + 1)
-    for i, c1 in enumerate(a):
-        if c1 is None:
-            continue
-        for j, c2 in bl:
-            m = i + j
-            if m > n:
-                break
-            c = c1 * c2
-            s = out[m]
-            if s is not None:
-                c = s + c
-            out[m] = None if c.is_zero() else c
-    return out
+def _fold(products, s=None):
+    """s plus the coefficient products, in their order, as the coefficient
+    loops sum: a partial sum that is zero is dropped, and the next product
+    restarts it. None when the last partial sum drops."""
+    for c in products:
+        if s is not None:
+            c = s + c
+        s = None if c.is_zero() else c
+    return s
 
 
 def revert(f: FracSeries) -> FracSeries:
@@ -675,8 +655,9 @@ def revert(f: FracSeries) -> FracSeries:
     j = 2..d, then b_d = -(sum_j P[j][d] a_j) / c1. That is O(n^3)
     coefficient products, in the order compose(f, g) would perform them.
     It divides only by the unit c1, so no p-adic digits are spent, as
-    Lagrange's 1/d would spend them. At phi = 1 the sums run on the integer
-    kernel (`_revert_int`), with the loop's drops and so its coefficients.
+    Lagrange's 1/d would spend them. Above phi = 1 both sums go through
+    `_fold`; at phi = 1 they run on the integer kernel (`_revert_int`), with
+    the same drops and so the same coefficients.
     """
     ctx = f.ctx
     if f.max_depth() != 0 or any(k < 0 for k in f._terms):
@@ -692,36 +673,25 @@ def revert(f: FracSeries) -> FracSeries:
     degree = int(f.deg_bound)
     if ctx.phi == 1:
         return f._new(_revert_int(ctx, _indexed(f, degree), c1_inv, degree), f.deg_bound, 0, False)
-    a = _dense(f, degree)
-    b = [None] * (degree + 1)
-    b[1] = c1_inv
-    P = [None, b] + [[None] * (degree + 1) for _ in range(2, degree + 1)]
+    a = {j: c for j, c in _indexed(f, degree) if j >= 2}
+    b = {1: c1_inv}
+    P = [None, b] + [{} for _ in range(2, degree + 1)]
     for d in range(2, degree + 1):
-        err = None
+        products = []  # P[j][d] a_j, ascending in j
         for j in range(2, d + 1):
-            prev = P[j - 1]
-            s = None
-            for m1 in range(j - 1, d):
-                x = prev[m1]
-                y = b[d - m1]
-                if x is None or y is None:
-                    continue
-                c = x * y
-                if s is not None:
-                    c = s + c
-                s = None if c.is_zero() else c
-            P[j][d] = s
-            if s is None or a[j] is None:
+            prev = P[j - 1]  # ascending keys j - 1 .. d; key d is this step's own
+            s = _fold([x * b[d - m] for m, x in prev.items() if m < d and d - m in b])
+            if s is None:
                 continue
-            w = s * a[j]
-            if err is not None:
-                w = err + w
-            err = None if w.is_zero() else w
+            P[j][d] = s
+            if j in a:
+                products.append(s * a[j])
+        err = _fold(products)
         if err is not None:
             bd = -(err * c1_inv)
             if not bd.is_zero():
                 b[d] = bd
-    return f._new({i: c for i, c in enumerate(b) if c is not None}, f.deg_bound, 0, False)
+    return f._new(b, f.deg_bound, 0, False)
 
 
 def _revert_int(ctx: RingContext, fi: list, c1_inv: CycloCoeff, degree: int) -> dict:
@@ -770,7 +740,6 @@ class FamilySeries:
     def __init__(self, level: int, values: dict[int, FracSeries]):
         if level < 0:
             raise ValueError("family level must be >= 0")
-        self.level = level
         if not values:
             raise ValueError("family must have at least one member")
         some = next(iter(values.values()))
@@ -787,14 +756,14 @@ class FamilySeries:
             if key in norm:
                 raise DomainError(f"duplicate residue class {key}")
             norm[key] = f
-        expected = [a for a in range(pm)] if level == 0 else [a for a in range(pm) if gcd(a, some.ctx.p) == 1]
+        expected = list(range(pm)) if level == 0 else [a for a in range(pm) if gcd(a, some.ctx.p) == 1]
         if sorted(norm) != expected:
             raise DomainError("family must cover every unit residue class")
         self.level = level
         self.values = dict(sorted(norm.items()))
 
     def members(self) -> list[tuple[int, FracSeries]]:
-        return sorted(self.values.items())
+        return list(self.values.items())
 
     def translate(self, a: int) -> "FamilySeries":
         """Precompose the residue labels with multiplication by the unit a."""

@@ -205,3 +205,44 @@ def test_wrong_series_mode_is_a_usage_error(capsys):
     assert capsys.readouterr().err == "qcusp: this subcommand needs a coefficient-ring (mode=frac) series\n"
     assert run_text(["tilt", "--depth", "2", str(GOLDEN / "in_frac.txt")]) == (EXIT_USAGE, "")
     assert capsys.readouterr().err == "qcusp: this subcommand needs a mode=charp series\n"
+
+
+def assert_one_error_line(err: str) -> None:
+    assert err.startswith("qcusp: ") and err.count("\n") == 1
+
+
+def test_unreadable_input_is_a_usage_error(tmp_path, capsys):
+    # a directory, and a file that is not UTF-8
+    latin = tmp_path / "latin.txt"
+    latin.write_bytes((GOLDEN / "in_frac.txt").read_bytes().replace(b"ramified0", b"caf\xe9"))
+    for path in (tmp_path, latin):
+        assert run_text(["level", str(path)]) == (EXIT_USAGE, "")
+        assert_one_error_line(capsys.readouterr().err)
+
+
+def test_stdin_not_utf8_is_a_usage_error():
+    proc = subprocess.run(
+        [sys.executable, "-m", "qcusp", "level", "-"],
+        input=(GOLDEN / "in_frac.txt").read_bytes().replace(b"ramified0", b"caf\xe9"),
+        capture_output=True,
+    )
+    assert proc.returncode == EXIT_USAGE
+    assert proc.stdout == b""
+    assert_one_error_line(proc.stderr.decode())
+
+
+@pytest.mark.parametrize(
+    "argv,source",
+    [
+        (["trace", "--n", "1"], "in_frac.txt"),
+        (["act", "--gamma", "1,0,2,1", "--m", "2"], "in_frac.txt"),
+        (["tilt", "--depth", "3"], "in_charp.txt"),
+        (["perfection", "--iterations", "2"], "in_charp.txt"),
+    ],
+    ids=["trace", "act", "tilt", "perfection"],
+)
+def test_bad_e_header_is_a_usage_error(argv, source, tmp_path, capsys):
+    bad = tmp_path / source
+    bad.write_text((GOLDEN / source).read_text().replace("e=1\n", "e=abc\n"))
+    assert run_text([*argv, str(bad)]) == (EXIT_USAGE, "")
+    assert capsys.readouterr().err == "qcusp: bad e header 'abc'\n"

@@ -337,6 +337,16 @@ def fields(c):
     return c.shift, c.unit, c.prec
 
 
+def test_from_poly_normal_form():
+    # one gcd takes the integer p-content (27 in 54 + 27 z); the constructor
+    # takes what the reduction mod Phi_3 = 1 + x + x^2 creates: 1 + x + x^2
+    # reduces to 0 and 4 + x + x^2 to 3, which spends a digit
+    ctx = new_ring(3, 4, 1)
+    assert fields(CycloCoeff.from_poly(ctx, [1, 1, 1])) == (0, (0, 0), 4)
+    assert fields(CycloCoeff.from_poly(ctx, [4, 1, 1])) == (1, (1, 0), 3)
+    assert fields(CycloCoeff.from_poly(ctx, [54, 27])) == (3, (2, 1), 4)
+
+
 def reference_normalize(ctx, shift, unit, prec=None):
     """(shift, unit, prec) of the truncating constructor, pulling out p-content
     one digit at a time."""

@@ -154,3 +154,10 @@ def test_integer_lookalikes_are_rejected(text):
     with pytest.raises(SeriesFileError) as err:
         parse_series(CHARP_HEAD + f"1 : {text}\n")
     assert str(err.value) == "charp coefficients are plain integers (line 8)"
+
+
+def test_bad_degree_header_names_no_line():
+    with pytest.raises(SeriesFileError) as err:
+        parse_series("p=2\nk=6\ns=0\ndepth=0\ndeg=x\nlaurent=false\n1 : 1\n")
+    assert err.value.line is None
+    assert str(err.value) == "bad degree bound 'x'"

@@ -427,11 +427,15 @@ def test_revert_matches_fraction_reference(data):
 
 def test_revert_keeps_the_compose_order():
     # a_2 known to one digit makes the power-table sums depend on their order
-    # (summing P[j-1][m] b_(d-m) in descending m loses the q^6 term)
-    ctx = new_ring(2, 4, 0)
-    a2 = CycloCoeff.from_int(ctx, -1).reduce_precision(1)
-    f = from_terms(ctx, [(1, 1), (2, a2), (3, 10), (4, -3)], 6, 0)
-    assert fields(revert(f)) == fields(reference_revert(f))
+    # (summing P[j-1][m] b_(d-m) in descending m loses the q^6 term), on the
+    # integer kernel at phi = 1 and on the coefficient loop at phi = 2
+    for s in (0, 2):
+        ctx = new_ring(2, 4, s)
+        a2 = CycloCoeff.from_int(ctx, -1).reduce_precision(1)
+        f = from_terms(ctx, [(1, 1), (2, a2), (3, 10), (4, -3)], 6, 0)
+        g = revert(f)
+        assert fields(g) == fields(reference_revert(f))
+        assert g.coefficient(6).prec == 1
 
 
 def test_mul_partial_sum_collapses_mid_accumulation():
@@ -449,6 +453,36 @@ def test_mul_partial_sum_collapses_mid_accumulation():
     m = Fraction(2, 5)
     assert (fg.coefficient(m).unit, fg.coefficient(m).prec) == ((7,), 4)
     assert (gf.coefficient(m).unit, gf.coefficient(m).prec) == ((2,), 1)
+
+
+def test_compose_partial_sum_collapses_mid_accumulation():
+    # phi = 2: g = q + q^2 + q^3, so [q^3] g^e = 1, 2, 1 for e = 1..3, and
+    # f = a q + a q^2 + c q^3 with a = 1 + z known to one digit and
+    # c = 3 (2 + z). At q^3 the sum over e takes a, 2a, c: a + 2a = 3a
+    # collapses at one digit and is dropped, so c keeps its 4 digits, while
+    # c + a would be known to one digit only
+    ctx = new_ring(3, 4, 1)
+    a = CycloCoeff.from_poly(ctx, [1, 1]).reduce_precision(1)
+    f = from_terms(ctx, [(1, a), (2, a), (3, CycloCoeff.from_poly(ctx, [6, 3]))], 3, 0)
+    g = from_terms(ctx, [(1, 1), (2, 1), (3, 1)], 3, 0)
+    fg = compose(f, g)
+    assert fields(fg) == fields(reference_compose(f, g))
+    got = {int(m): (c.shift, c.unit, c.prec) for m, c in fg.items()}
+    assert got == {1: (0, (1, 1), 1), 2: (0, (2, 2), 1), 3: (1, (2, 1), 4)}
+
+
+def test_revert_partial_sum_collapses_mid_accumulation():
+    # phi = 2: f = q + a q^2 with a = z known to one digit gives b_1 = 1,
+    # b_2 = -a and b_3 = 2a^2. P[2][4] = b_1 b_3 + b_2 b_2 + b_3 b_1 takes
+    # 2a^2, a^2, 2a^2: the first two collapse to 3a^2 = 0 at one digit, and
+    # the third restarts the sum, so b_4 = -P[2][4] a = -2a^3 = -2
+    ctx = new_ring(3, 4, 1)
+    a = CycloCoeff.from_poly(ctx, [0, 1]).reduce_precision(1)
+    f = from_terms(ctx, [(1, 1), (2, a)], 4, 0)
+    g = revert(f)
+    assert fields(g) == fields(reference_revert(f))
+    got = {int(m): (c.shift, c.unit, c.prec) for m, c in g.items()}
+    assert got == {1: (0, (1, 0), 4), 2: (0, (0, 2), 1), 3: (0, (1, 1), 1), 4: (0, (1, 0), 1)}
 
 
 
