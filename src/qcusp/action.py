@@ -22,6 +22,12 @@ from .errors import DomainError
 from .series import FracSeries, twist
 
 
+def check_index(e: int, p: int) -> None:
+    """Raise DomainError unless the renormalization index e is positive and prime to p."""
+    if e < 1 or e % p == 0:
+        raise DomainError("renormalization index e must be positive and prime to p")
+
+
 @dataclass(frozen=True)
 class Mat2:
     """An element of GL_2(Z/p^m): entries mod p^m with unit determinant mod p."""
@@ -122,8 +128,7 @@ class CuspPoint:
         ctx = self.series.ctx
         if self.gamma.p != ctx.p:
             raise DomainError("matrix prime and series context disagree")
-        if self.e < 1 or self.e % ctx.p == 0:
-            raise DomainError("renormalization index e must be positive and prime to p")
+        check_index(self.e, ctx.p)
         if self.series.depth_bound > ctx.s:
             raise DomainError("series depth bound exceeds the cyclotomic depth s")
 

@@ -12,7 +12,7 @@ import argparse
 import functools
 import sys
 
-from .action import CuspPoint, Mat2, ProjPoint, act_cusp
+from .action import CuspPoint, Mat2, ProjPoint, act_cusp, check_index
 from .coeff import RingContext, new_ring
 from .errors import QcuspError, SeriesFileError
 from .fileformat import (
@@ -72,7 +72,8 @@ _NEEDS_CHARP = "this subcommand needs a mode=charp series"
 
 def _load(args, kind: type, message: str) -> tuple:
     """The input series, its cusp label and its renormalization index e;
-    the series must be a `kind`, else QcuspError(message)."""
+    the series must be a `kind`, else QcuspError(message), and e positive
+    and prime to p, else DomainError."""
     text = _read_input(args.file)
     meta = header_metadata(text)
     series = parse_series(text, _overrides(args))
@@ -82,6 +83,7 @@ def _load(args, kind: type, message: str) -> tuple:
         e = int(meta.get("e", "1"))
     except ValueError:
         raise SeriesFileError(f"bad e header {meta['e']!r}")
+    check_index(e, series.p)
     return series, meta.get("cusp_label", ""), e
 
 

@@ -16,10 +16,12 @@ losses are kept at the layer that owns them (series deciders), not here.
 
 Kernels: every unit-part operation ends in one sparse reduction, `_reduce`,
 which folds x^(p^s) = 1 and rewrites x^phi by its p - 1 term identity in
-O(p^s). Products (`_unit_mul`) are a schoolbook convolution for small phi
-and one Kronecker-packed big-int multiply for larger phi; multiplication by
-a root of unity is a rotation mod x^(p^s) - 1; `inv` is a Newton lift built
-on the product.
+O(p^s). `_poly_mul` is the package's one integer polynomial product, a
+schoolbook convolution for short factors and one Kronecker-packed big-int
+multiply for longer ones; unit products (`_unit_mul`) and modular's integer
+series both run on it. Multiplication by a root of unity is a rotation mod
+x^(p^s) - 1; `inv` is a Newton lift built on the product, after one
+multiplication by a power of zeta - 1 for a ramified element.
 
 Normal form: the truncating constructor reduces the raw unit mod p^prec and
 finds its p-content p^t from one gcd of the entries, then divides by p^t
@@ -38,7 +40,9 @@ from __future__ import annotations
 import sys
 from array import array
 from fractions import Fraction
+from itertools import accumulate
 from math import gcd, inf
+from operator import add
 
 from .errors import ContextMismatchError, DepthError, NotInvertibleError
 
@@ -107,10 +111,11 @@ def new_ring(p: int, k: int, s: int) -> RingContext:
     return RingContext(p, k, s)
 
 
-# Smallest phi at which one Kronecker-packed big-int product beats the
-# schoolbook convolution. Measured with CPython 3.11 on x86-64 for p in
-# {2, 3, 5, 7, 11}, k in {4, 5, 8}: schoolbook wins at phi = 4, the two tie
-# at phi = 6, Kronecker wins from phi = 8 on.
+# Shortest factor at which `_poly_mul`'s packed product beats its schoolbook
+# loop, measured for both callers with CPython 3.11 on x86-64. Unit products
+# (p in {2, 3, 5, 7, 11}, k in {4, 5, 8}): schoolbook wins at phi = 4, the
+# two tie at phi = 6, packing wins from phi = 8 on. modular's series: 6 to
+# 7 terms for E4 and residues mod 3^16, 8 for eta^24, 9 for powers of q*j.
 _KRONECKER_MIN_PHI = 8
 
 # unsigned array typecode for each C integer size in bytes
@@ -133,50 +138,93 @@ def _reduce(ctx: RingContext, acc: list[int] | tuple[int, ...], modulus: int) ->
     out += [0] * (n - len(out))
     for start in range(n, len(acc), n):
         chunk = acc[start:start + n]
-        out[: len(chunk)] = [u + v for u, v in zip(out, chunk)]
+        out[: len(chunk)] = map(add, out, chunk)
     # out[phi:] holds the p^(s-1) top coefficients; repeated p - 1 times it lines up with out[:phi]
     return tuple([(u - v) % modulus for u, v in zip(out, out[phi:] * (ctx.p - 1))])
 
 
-def _unit_mul(ctx: RingContext, a: tuple[int, ...], b: tuple[int, ...], modulus: int) -> tuple[int, ...]:
-    """Product of two unit tuples mod (Phi_{p^s}, modulus), then `_reduce`.
+def _poly_mul(a, b, m: int, modulus: int | None = None) -> list[int]:
+    """The first m <= len(a) + len(b) - 1 coefficients of the product of the
+    nonempty integer polynomials a and b (ascending): exact, or congruent mod
+    `modulus` when one is given.
 
-    phi = 1 is one integer product. Below _KRONECKER_MIN_PHI a schoolbook
-    convolution, O(phi^2) small products. From there Kronecker substitution:
-    both tuples, reduced mod `modulus` so every slot is non-negative, are
-    packed into one int each with slots of 2 bits(modulus) + bits(phi) + 1
-    bits, wide enough that no slot of the product carries into the next.
-    Then one big-int multiply (Karatsuba in CPython, O((phi w)^1.58) machine
-    word products for slots of w words) and an O(phi) unpack. Slots are
-    rounded up to a power-of-two number of bytes, so that slots of up to 8
-    bytes pack and unpack through `array` in C.
+    A factor shorter than _KRONECKER_MIN_PHI takes the schoolbook loop.
+    Otherwise Kronecker substitution (Harvey, J. Symbolic Comput. 2009)
+    packs each factor into one int with slots wide enough that no product
+    coefficient spills into the next, multiplies once (Karatsuba in CPython)
+    and unpacks the first m slots. Slots of up to 8 bytes are rounded to a
+    power of two and go through `array` in C. Residues, non-negative, are
+    reduced mod `modulus` only if an entry reaches it, and the modulus sizes
+    their slots. Signed entries are sized by the largest magnitude; only if
+    one is negative are the slots packed in two's complement, corrected by
+    their sign bits, and each product slot offset by half its range so that
+    it unpacks without borrows.
     """
-    phi = ctx.phi
-    if phi == 1:
-        return ((a[0] * b[0]) % modulus,)
-    if phi < _KRONECKER_MIN_PHI:
-        acc = [0] * (2 * phi - 1)
+    length = len(a) + len(b) - 1
+    if len(a) < _KRONECKER_MIN_PHI or len(b) < _KRONECKER_MIN_PHI:
+        acc = [0] * length
         for i, ai in enumerate(a):
             if ai:
-                for j, bj in enumerate(b):
-                    acc[i + j] += ai * bj
-        return _reduce(ctx, acc, modulus)
-    bits = 2 * modulus.bit_length() + phi.bit_length() + 1
-    width = 1 << ((bits - 1) // 8).bit_length()
-    size = (2 * phi - 1) * width
+                for j, bj in enumerate(b, i):
+                    acc[j] += ai * bj
+        if m < length:
+            del acc[m:]
+        return acc
+    if modulus is None:
+        low_a, low_b = min(a), min(b)
+        signed = low_a < 0 or low_b < 0
+        bits = max(max(a), -low_a).bit_length() + max(max(b), -low_b).bit_length() + signed
+    else:
+        if max(a) >= modulus:
+            a = [v % modulus for v in a]
+        if max(b) >= modulus:
+            b = [v % modulus for v in b]
+        signed = False
+        bits = 2 * (modulus - 1).bit_length()
+    width = (bits + min(len(a), len(b)).bit_length() + 7) // 8
+    if width <= 8:
+        width = 1 << (width - 1).bit_length()
     code = _ARRAY_CODES.get(width)
-    if code:
+    if code is None:
+        fa, fb = [int.from_bytes(b"".join([v.to_bytes(width, "little", signed=signed) for v in f]), "little")
+                  for f in (a, b)]
+    else:
         # native byte order both ways: on a big-endian host both factors and
         # the product are read slot-reversed, which leaves the slots in order
-        fa = int.from_bytes(array(code, [v % modulus for v in a]), sys.byteorder)
-        fb = int.from_bytes(array(code, [v % modulus for v in b]), sys.byteorder)
-        acc = array(code, (fa * fb).to_bytes(size, sys.byteorder)).tolist()
+        kind = code.lower() if signed else code  # signed entries pack as two's complement
+        fa, fb = int.from_bytes(array(kind, a), sys.byteorder), int.from_bytes(array(kind, b), sys.byteorder)
+    if signed:
+        half = 1 << (8 * width - 1)
+        tops = int.from_bytes(half.to_bytes(width, "little") * length, "little")
+        # a slot's top bit is set exactly when its entry is negative
+        product = (fa - ((fa & tops) << 1)) * (fb - ((fb & tops) << 1)) + tops
     else:
-        fa = int.from_bytes(b"".join([(v % modulus).to_bytes(width, "little") for v in a]), "little")
-        fb = int.from_bytes(b"".join([(v % modulus).to_bytes(width, "little") for v in b]), "little")
-        raw = (fa * fb).to_bytes(size, "little")
-        acc = [int.from_bytes(raw[i:i + width], "little") for i in range(0, size, width)]
-    return _reduce(ctx, acc, modulus)
+        product = fa * fb
+    if code is None:
+        product &= (1 << (8 * width * m)) - 1
+        raw = product.to_bytes(width * m, "little")
+        out = [int.from_bytes(raw[i:i + width], "little") for i in range(0, width * m, width)]
+    else:
+        out = array(code, product.to_bytes(width * length, sys.byteorder)).tolist()
+        del out[m:]
+    return [v - half for v in out] if signed else out
+
+
+def _unit_mul(ctx: RingContext, a: tuple[int, ...], b: tuple[int, ...], modulus: int) -> tuple[int, ...]:
+    """Product of two unit tuples mod (Phi_{p^s}, modulus): one integer
+    product at phi = 1, else `_poly_mul` and `_reduce`."""
+    if ctx.phi == 1:
+        return ((a[0] * b[0]) % modulus,)
+    return _reduce(ctx, _poly_mul(a, b, 2 * ctx.phi - 1, modulus), modulus)
+
+
+def _split_p(n: int, p: int) -> tuple[int, int]:
+    """(v, u) with n = p^v * u and u prime to p, for n != 0."""
+    v = 0
+    while n % p == 0:
+        n //= p
+        v += 1
+    return v, n
 
 
 def _p_content(ctx: RingContext, shift: int, unit, prec: int) -> tuple[int, tuple[int, ...], int]:
@@ -186,16 +234,12 @@ def _p_content(ctx: RingContext, shift: int, unit, prec: int) -> tuple[int, tupl
     g = gcd(*unit)
     if g == 0:
         return 0, (0,) * ctx.phi, ctx.k
-    p = ctx.p
-    t = 0
-    while g % p == 0:
-        g //= p
-        t += 1
-    if t:
-        # g < p^prec, so t < prec and at least one digit survives
-        q = p**t
-        unit = [v // q for v in unit]
-    return shift + t, tuple(unit), prec - t
+    if g % ctx.p:  # the usual case, and cheaper than a call
+        return shift, tuple(unit), prec
+    # g < p^prec, so t < prec and at least one digit survives
+    t = _split_p(g, ctx.p)[0]
+    q = ctx.p**t
+    return shift + t, tuple([v // q for v in unit]), prec - t
 
 
 class CycloCoeff:
@@ -241,12 +285,9 @@ class CycloCoeff:
         extracted before truncation, so e.g. p^k maps to shift k, unit 1."""
         if n == 0:
             return cls.zero(ctx)
-        p = ctx.p
-        while n % p == 0:
-            n //= p
-            shift += 1
+        t, n = _split_p(n, ctx.p) if n % ctx.p == 0 else (0, n)
         poly = (n % ctx.pk,) + (0,) * (ctx.phi - 1)
-        return cls(ctx, shift, poly, _normalized=True)
+        return cls(ctx, shift + t, poly, _normalized=True)
 
     @classmethod
     def from_poly(cls, ctx: RingContext, coeffs: list[int] | tuple[int, ...], shift: int = 0) -> "CycloCoeff":
@@ -258,15 +299,11 @@ class CycloCoeff:
         g = gcd(*coeffs)
         if g == 0:
             return cls.zero(ctx)
-        p = ctx.p
-        t = 0
-        while g % p == 0:
-            g //= p
-            t += 1
-        if t:
-            q = p**t
+        if g % ctx.p == 0:
+            t = _split_p(g, ctx.p)[0]
+            shift, q = shift + t, ctx.p**t
             coeffs = [c // q for c in coeffs]
-        return cls(ctx, shift + t, _reduce(ctx, coeffs, ctx.pk))
+        return cls(ctx, shift, _reduce(ctx, coeffs, ctx.pk))
 
     # -- predicates --------------------------------------------------------
 
@@ -414,26 +451,47 @@ def zeta(ctx: RingContext, n: int) -> CycloCoeff:
     return CycloCoeff.from_poly(ctx, poly)
 
 
-def inv(a: CycloCoeff) -> CycloCoeff:
-    """Exact inverse at a's precision, with negated shift.
+def _pi_order(p: int, unit) -> int:
+    """The pi-adic valuation of a p-free unit part, pi = zeta_{p^s} - 1:
+    its order of vanishing at x = 1 mod p, because Phi_{p^s} = (x - 1)^phi
+    mod p. Found by synthetic division by x - 1 until the remainder u(1) is
+    not 0 mod p, in O(phi * (r + 1)); the order r is below phi."""
+    r = 0
+    while True:
+        sums = list(accumulate(reversed(unit)))  # top-down partial sums: quotient, then u(1)
+        if sums[-1] % p:
+            return r
+        unit = [v % p for v in sums[-2::-1]]
+        r += 1
 
-    The unit part u is a unit of Z_p[zeta_{p^s}] exactly when u(1) is not
-    0 mod p, because Phi_{p^s} = (x - 1)^phi mod p; otherwise (and for zero)
-    this raises NotInvertibleError. The inverse is a Newton lift
-    v <- v(2 - uv) from v = u(1)^-1 mod p^prec: 1 - uv starts in the
-    maximal ideal M = (p, x - 1) and squares each step, and p^prec lies in
-    M^(phi prec), so ceil(log2(phi prec)) steps suffice. Each step costs two
-    `_unit_mul` products.
+
+def inv(a: CycloCoeff) -> CycloCoeff:
+    """Inverse of a nonzero element; zero raises NotInvertibleError.
+
+    A unit u, one with u(1) not 0 mod p, is inverted at its precision by a
+    Newton lift v <- v(2 - uv) from v = u(1)^-1 mod p^prec: 1 - uv starts in
+    the maximal ideal M = (p, x - 1) and squares each step, and p^prec lies
+    in M^(phi prec), so ceil(log2(phi prec)) steps suffice. Each step costs
+    two `_unit_mul` products.
+
+    A unit part of pi-adic valuation 0 < r < phi is ramified. Then
+    c = pi^(phi - r) makes a*c p times a unit, since (zeta - 1)^phi generates
+    (p) (Washington, GTM 83, Lemma 1.4), and a^-1 = c * inv(a*c). Pulling
+    that p out costs a*c one digit, so the inverse claims one digit less
+    than a; with a single digit nothing is left, and this raises.
     """
     ctx = a.ctx
     if a.is_zero():
         raise NotInvertibleError("zero is not invertible")
-    u1 = sum(a.unit)
-    if u1 % ctx.p == 0:
-        raise NotInvertibleError("unit part vanishes at x = 1 mod p; not a shifted unit")
+    r = _pi_order(ctx.p, a.unit)
+    if r:
+        if a.prec == 1:
+            raise NotInvertibleError("a ramified element with one digit leaves no digit of its inverse")
+        c = (zeta(ctx, ctx.s) - CycloCoeff.one(ctx)) ** (ctx.phi - r)
+        return c * inv(a * c)
     m = ctx.p**a.prec
     one = (1,) + (0,) * (ctx.phi - 1)
-    v = (pow(u1, -1, m),) + one[1:]
+    v = (pow(sum(a.unit), -1, m),) + one[1:]
     for _ in range((ctx.phi * a.prec - 1).bit_length()):
         uv = _unit_mul(ctx, a.unit, v, m)
         v = _unit_mul(ctx, v, ((2 - uv[0]) % m,) + tuple(-t % m for t in uv[1:]), m)
@@ -445,27 +503,12 @@ def inv(a: CycloCoeff) -> CycloCoeff:
 def val_p(a: CycloCoeff) -> Fraction | float:
     """Valuation normalized so val_p(p) = 1; +inf for the zero element.
 
-    For a normalized unit part u the pi-adic valuation (pi = zeta_{p^s} - 1)
-    is the order of vanishing of u mod p at x = 1, always < phi(p^s), so the
-    reported value is exact at the stored precision.
+    The unit part's pi-adic valuation is below phi(p^s), so the reported
+    value shift + r/phi is exact at the stored precision.
     """
     if a.is_zero():
         return inf
     ctx = a.ctx
     if ctx.s == 0:
         return Fraction(a.shift)
-    p = ctx.p
-    # expand u(1 + y) over F_p and find the lowest nonzero power of y
-    expanded = [0]
-    for c in reversed(a.unit):
-        nxt = [0] * (len(expanded) + 1)
-        for i, e in enumerate(expanded):
-            if e:
-                nxt[i] = (nxt[i] + e) % p
-                nxt[i + 1] = (nxt[i + 1] + e) % p
-        nxt[0] = (nxt[0] + c) % p
-        expanded = nxt
-    for i, c in enumerate(expanded):
-        if c % p:
-            return a.shift + Fraction(i, ctx.phi)
-    raise AssertionError("normalized unit vanished identically mod p")
+    return Fraction(a.shift * ctx.phi + _pi_order(ctx.p, a.unit), ctx.phi)

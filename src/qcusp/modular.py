@@ -11,8 +11,9 @@ corrupt high coefficients. The route chosen for j is E4^3 / Delta with
 anchored by the classical leading coefficients 1, 744, 196884. The
 reversion q(w) of w = 1/j comes from Lagrange inversion,
 b_d = (1/d) [q^(d-1)] (q*j)^d, with the powers split into baby and giant
-steps (Brent-Kung). Every series product is one Kronecker-packed big-int
-product (`_int_mul`).
+steps (Brent-Kung). Every series product goes through `_int_mul`, which
+truncates and pads around coeff's one polynomial product kernel: schoolbook
+for short factors, one Kronecker-packed big-int product for longer ones.
 
 b_d grows by about 10.8 bits per term, so `j_inverse_series` runs the same
 inversion mod p^(k+G) with G guard digits instead of over Z. It keeps the
@@ -28,7 +29,7 @@ import math
 import operator
 from fractions import Fraction
 
-from .coeff import CycloCoeff, RingContext, inv, val_p
+from .coeff import CycloCoeff, RingContext, _poly_mul, _split_p, inv, val_p
 from .errors import DomainError
 from .series import FracSeries, from_terms
 
@@ -36,44 +37,11 @@ from .series import FracSeries, from_terms
 
 
 def _int_mul(a: list[int], b: list[int], n: int) -> list[int]:
-    """Product of two integer series through degree n, as one Kronecker-packed
-    big-int product.
-
-    Each coefficient gets a slot of whole bytes wide enough for any signed
-    product coefficient. The positive and negative parts are packed
-    separately and subtracted, so the packed integers are exactly
-    sum a_i X^i and sum b_i X^i with X = 2^slot. The product is truncated to
-    its first m slots with a mask (a % by a power of two would run a long
-    division), and an offset of 2^(slot-1) per slot makes every slot
-    non-negative so that it unpacks without borrows.
-    """
-    out = [0] * (n + 1)
-    a = a[: n + 1]
-    b = b[: n + 1]
-    top_a = max(map(abs, a), default=0)
-    top_b = max(map(abs, b), default=0)
-    if not (top_a and top_b):
-        return out
-    m = min(n + 1, len(a) + len(b) - 1)
-    width = (top_a.bit_length() + top_b.bit_length() + min(len(a), len(b)).bit_length() + 2 + 7) // 8
-    bits = 8 * width
-    mask = (1 << (bits * m)) - 1
-    half = 1 << (bits - 1)
-    offset = int.from_bytes(half.to_bytes(width, "little") * m, "little")
-    product = (_pack(a, width) * _pack(b, width) + offset) & mask
-    raw = product.to_bytes(width * m, "little")
-    out[:m] = [int.from_bytes(raw[i : i + width], "little") - half for i in range(0, width * m, width)]
-    return out
-
-
-def _pack(a: list[int], width: int) -> int:
-    """sum a_i 2^(8*width*i) for signed a_i with |a_i| < 2^(8*width)."""
-    zero = bytes(width)
-    pos = int.from_bytes(b"".join([c.to_bytes(width, "little") if c > 0 else zero for c in a]), "little")
-    if min(a) >= 0:  # residues and the powers of q*j have no negative part
-        return pos
-    neg = b"".join([(-c).to_bytes(width, "little") if c < 0 else zero for c in a])
-    return pos - int.from_bytes(neg, "little")
+    """Product of two integer series through degree n, n + 1 entries long
+    (`coeff._poly_mul`)."""
+    a, b = a[: n + 1], b[: n + 1]
+    out = _poly_mul(a, b, min(n + 1, len(a) + len(b) - 1)) if a and b else []
+    return out + [0] * (n + 1 - len(out))
 
 
 def _int_inverse(a: list[int], n: int) -> list[int]:
@@ -229,15 +197,6 @@ def j_inverse_coefficients(n_terms: int, p: int | None = None, digits: int = 0) 
     return out
 
 
-def _split_p(n: int, p: int) -> tuple[int, int]:
-    """(v, u) with n = p^v * u and u prime to p, for n != 0."""
-    v = 0
-    while n % p == 0:
-        n //= p
-        v += 1
-    return v, n
-
-
 # Largest guard width j_inverse_series tries before it falls back to the
 # exact reversion. Doubling from floor(log_p n) + 2 reaches 36 for p = 2 at
 # n = 200 and at most 12 for p >= 3 at n <= 200.
@@ -277,10 +236,6 @@ def tate_parameter_from_j(jval: CycloCoeff) -> CycloCoeff:
     Evaluates the reversion series at w = 1/jval; the series converges
     because val_p(w) > 0, and summation stops once the tail falls below the
     representable precision. val_p(result) = -val_p(jval).
-
-    Ramified j-values are not yet covered: when the unit part of jval is a
-    multiple of zeta - 1, as for jval = (zeta_3 - 1)/3, `inv` cannot invert
-    it and this raises NotInvertibleError.
 
     The b_d come from the exact reversion: at n_max <= k + 1 terms the
     exact integers are small, and the guard-digit loop of `j_inverse_series`

@@ -51,7 +51,7 @@ from fractions import Fraction
 from math import gcd, inf
 from typing import NamedTuple
 
-from .coeff import CycloCoeff, RingContext, _p_content, inv
+from .coeff import CycloCoeff, RingContext, _p_content, inv, val_p
 from .errors import ContextMismatchError, DepthError, DomainError, NotInvertibleError
 
 
@@ -665,9 +665,9 @@ def revert(f: FracSeries) -> FracSeries:
     if not f.coefficient(0).is_zero():
         raise DomainError("reversion requires zero constant term")
     c1 = f.coefficient(1)
-    if c1.shift != 0:
+    if val_p(c1) != 0:  # zero, a shifted unit or ramified
         raise NotInvertibleError("reversion requires a unit linear coefficient")
-    c1_inv = inv(c1)  # raises NotInvertibleError for a ramified non-unit
+    c1_inv = inv(c1)
     if f.deg_bound == inf:
         raise DomainError("reversion needs a finite degree bound")
     degree = int(f.deg_bound)

@@ -246,3 +246,21 @@ def test_bad_e_header_is_a_usage_error(argv, source, tmp_path, capsys):
     bad.write_text((GOLDEN / source).read_text().replace("e=1\n", "e=abc\n"))
     assert run_text([*argv, str(bad)]) == (EXIT_USAGE, "")
     assert capsys.readouterr().err == "qcusp: bad e header 'abc'\n"
+
+
+@pytest.mark.parametrize("e", ["0", "-2", "2"], ids=["zero", "negative", "p"])
+@pytest.mark.parametrize(
+    "argv,source",
+    [
+        (["trace", "--n", "1"], "in_frac.txt"),
+        (["tilt", "--depth", "3"], "in_charp.txt"),
+        (["perfection", "--iterations", "2"], "in_charp.txt"),
+    ],
+    ids=["trace", "tilt", "perfection"],
+)
+def test_e_header_out_of_range_is_a_usage_error(argv, source, e, tmp_path, capsys):
+    # both inputs have p = 2; e must be positive and prime to p, as for act
+    bad = tmp_path / source
+    bad.write_text((GOLDEN / source).read_text().replace("e=1\n", f"e={e}\n"))
+    assert run_text([*argv, str(bad)]) == (EXIT_USAGE, "")
+    assert capsys.readouterr().err == "qcusp: renormalization index e must be positive and prime to p\n"

@@ -126,25 +126,31 @@ def test_inv_examples():
 
 
 def test_inv_random_roundtrip(rng):
+    # a unit's inverse keeps its digits and negates its shift; a ramified
+    # element's inverse has one more factor p in the denominator and one digit less
     ctx = new_ring(3, 5, 2)
-    count = 0
-    while count < 20:
+    kinds = set()
+    for _ in range(20):
         a = random_coeff(rng, ctx, entries=3, shift_range=(-1, 1))
-        try:
-            b = inv(a)
-        except NotInvertibleError:
-            continue  # ramified non-units have no inverse in the model
+        b = inv(a)
+        ramified = sum(a.unit) % 3 == 0
+        kinds.add(ramified)
         assert a * b == CycloCoeff.one(ctx)
-        assert b.shift == -a.shift
-        count += 1
+        assert val_p(b) == -val_p(a)
+        assert (b.shift, b.prec) == (-a.shift - ramified, a.prec - ramified)
+    assert kinds == {False, True}
 
 
 def test_inv_rejections():
     ctx = new_ring(3, 5, 1)
     with pytest.raises(NotInvertibleError):
         inv(CycloCoeff.zero(ctx))
+    pi = zeta(ctx, 1) - CycloCoeff.one(ctx)  # val 1/2, not a shifted unit
     with pytest.raises(NotInvertibleError):
-        inv(zeta(ctx, 1) - CycloCoeff.one(ctx))  # val 1/2, not a shifted unit
+        inv(pi.reduce_precision(1))  # its inverse would keep no digit
+    # pi^2 = -3 zeta, so pi^-1 = -(2 + zeta)/3, one digit short of pi
+    b = inv(pi)
+    assert (b.shift, b.prec) == (-1, 4) and b == CycloCoeff.from_poly(ctx, [-2, -1], -1)
 
 
 def test_val_p_examples():
@@ -316,18 +322,27 @@ def test_inv_is_inverse_at_precision(p, s, data):
 @given(data=st.data())
 def test_inv_rejects_exactly_the_ramified(p, s, data):
     # a = pi^i * w with pi = zeta_{p^s} - 1 and w a unit has val_p = shift + i/phi;
-    # it is a shifted unit iff phi | i, iff its normalized u(1) != 0 mod p
+    # it is a shifted unit iff phi | i, iff its normalized u(1) != 0 mod p.
+    # Every nonzero a inverts, a ramified one with one digit less; at one
+    # digit that leaves none, and only then does a nonzero a raise
     ctx, prec = data.draw(ring_and_precision(p, s, min_k=3))
     w = data.draw(units(ctx, prec))
     i = data.draw(st.integers(0, 2 * ctx.phi - 1))
     a = (zeta(ctx, s) - CycloCoeff.one(ctx)) ** i * w
     ramified = i % ctx.phi != 0
     assert ramified == (sum(a.unit) % p == 0) == (val_p(a) != a.shift)
-    if ramified:
+    if ramified and a.prec == 1:
         with pytest.raises(NotInvertibleError):
             inv(a)
-    else:
-        assert a * inv(a) == CycloCoeff.one(ctx)
+        return
+    b = inv(a)
+    assert val_p(b) == -val_p(a) and b.prec == a.prec - ramified
+    # every claimed digit agrees with the inverse of the same representative at k + 6
+    hi = new_ring(p, ctx.k + 6, s)
+    a_hi = CycloCoeff(hi, a.shift, a.unit)
+    want = inv(a_hi)
+    assert a_hi * want == CycloCoeff.one(hi)
+    assert want.shift == b.shift and all((x - y) % p**b.prec == 0 for x, y in zip(want.unit, b.unit))
 
 
 # -- the normal form against the digit-at-a-time references -------------------

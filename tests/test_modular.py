@@ -173,6 +173,17 @@ def test_tate_parameter_valuation_relation():
         assert val_p(tate_parameter_from_j(jval)) == v
 
 
+def test_tate_parameter_of_a_ramified_j():
+    # j = (zeta_3 - 1)/3 has val_p(j) = -1/2 and a unit part that is not a unit;
+    # every digit claimed at k = 6 agrees with the same j at k + 6
+    def q_e(k):
+        return tate_parameter_from_j(CycloCoeff.from_poly(new_ring(3, k, 1), [-1, 1], -1))
+
+    lo, hi = q_e(6), q_e(12)
+    assert val_p(lo) == Fraction(1, 2) and (lo.shift, lo.prec) == (hi.shift, 5)
+    assert lo.unit == tuple(v % 3**5 for v in hi.unit)
+
+
 def test_tate_parameter_rejects_integral_j():
     ctx = new_ring(3, 6, 0)
     with pytest.raises(DomainError):
@@ -210,10 +221,11 @@ def test_int_mul_matches_schoolbook(a, b, extra):
     assert _int_mul(a, b, n) == schoolbook_mul(a, b, n)
 
 
-@pytest.mark.parametrize("bits", [1, 2, 3, 6, 7, 11, 64, 1001, 3000])
+@pytest.mark.parametrize("bits", [1, 2, 3, 6, 7, 11, 28, 31, 64, 1001, 3000])
 def test_int_mul_widest_slots(bits):
     # all entries +-(2^bits - 1): every middle coefficient reaches
-    # min(len) * max|a| * max|b|, the bound the slot width is sized for
+    # min(len) * max|a| * max|b|, the bound the slot width is sized for;
+    # bits 28 and 31 give the packed factors slots of 8 and 9 bytes
     top = (1 << bits) - 1
     for la, lb in ((1, 1), (2, 3), (3, 5), (8, 8), (9, 40), (40, 9)):
         for sa, sb in ((1, 1), (1, -1), (-1, -1)):

@@ -189,6 +189,9 @@ def test_revert_rejections():
     ctx = new_ring(7, 8, 0)
     with pytest.raises(NotInvertibleError):
         revert(from_terms(ctx, [(1, 7), (2, 1)], 4, 0))
+    r3 = new_ring(3, 4, 1)
+    with pytest.raises(NotInvertibleError):  # c1 = zeta_3 - 1 is ramified, though inv takes it
+        revert(from_terms(r3, [(1, zeta(r3, 1) - CycloCoeff.one(r3)), (2, 1)], 4, 0))
     with pytest.raises(DomainError):
         revert(from_terms(ctx, [(Fraction(1, 7), 1)], 4, 1))
     with pytest.raises(DomainError):
