@@ -41,7 +41,7 @@ import sys
 from array import array
 from fractions import Fraction
 from itertools import accumulate
-from math import gcd, inf
+from math import comb, gcd, inf
 from operator import add
 
 from .errors import ContextMismatchError, DepthError, NotInvertibleError
@@ -465,39 +465,53 @@ def _pi_order(p: int, unit) -> int:
         r += 1
 
 
+def _unit_inv(ctx: RingContext, unit, prec: int) -> tuple[int, ...]:
+    """Inverse mod p^prec of a unit part with u(1) not 0 mod p, by a Newton
+    lift v <- v(2 - uv) from v = u(1)^-1 mod p^prec: 1 - uv starts in the
+    maximal ideal M = (p, x - 1) and squares each step, and p^prec lies in
+    M^(phi prec), so ceil(log2(phi prec)) steps suffice. Each step costs two
+    `_unit_mul` products."""
+    m = ctx.p**prec
+    one = (1,) + (0,) * (ctx.phi - 1)
+    v = (pow(sum(unit), -1, m),) + one[1:]
+    for _ in range((ctx.phi * prec - 1).bit_length()):
+        uv = _unit_mul(ctx, unit, v, m)
+        v = _unit_mul(ctx, v, ((2 - uv[0]) % m,) + tuple(-t % m for t in uv[1:]), m)
+    if _unit_mul(ctx, unit, v, m) != one:
+        raise NotInvertibleError("inversion failed; unit part is not a unit")
+    return v
+
+
 def inv(a: CycloCoeff) -> CycloCoeff:
     """Inverse of a nonzero element; zero raises NotInvertibleError.
 
-    A unit u, one with u(1) not 0 mod p, is inverted at its precision by a
-    Newton lift v <- v(2 - uv) from v = u(1)^-1 mod p^prec: 1 - uv starts in
-    the maximal ideal M = (p, x - 1) and squares each step, and p^prec lies
-    in M^(phi prec), so ceil(log2(phi prec)) steps suffice. Each step costs
-    two `_unit_mul` products.
+    A unit u, one with u(1) not 0 mod p, is inverted at its precision by
+    `_unit_inv`.
 
-    A unit part of pi-adic valuation 0 < r < phi is ramified. Then
-    c = pi^(phi - r) makes a*c p times a unit, since (zeta - 1)^phi generates
-    (p) (Washington, GTM 83, Lemma 1.4), and a^-1 = c * inv(a*c). Pulling
-    that p out costs a*c one digit, so the inverse claims one digit less
-    than a; with a single digit nothing is left, and this raises.
+    A unit part of pi-adic valuation 0 < r < phi is ramified: u = pi^r * w
+    with w a unit. Then c = pi^(phi - r) makes u*c = p*w' with w' a unit,
+    since (zeta - 1)^phi generates (p) (Washington, GTM 83, Lemma 1.4), and
+    u^-1 = c * w'^-1 / p. u is known mod p^prec, that is mod pi^(phi prec),
+    so w is known mod pi^(phi prec - r), and p * u^-1 = c * w^-1 / pi^r is
+    known mod pi^(phi (prec + 1) - 2r): prec digits when 2r <= phi, one
+    fewer when 2r > phi. Every lift of u gives those digits, so the stored
+    representative is used: its product with c mod p^(prec + 1), divided
+    by p, is w' to prec digits. Only a one-digit element with 2r > phi has
+    no digit left, and raises.
     """
     ctx = a.ctx
     if a.is_zero():
         raise NotInvertibleError("zero is not invertible")
     r = _pi_order(ctx.p, a.unit)
-    if r:
-        if a.prec == 1:
-            raise NotInvertibleError("a ramified element with one digit leaves no digit of its inverse")
-        c = (zeta(ctx, ctx.s) - CycloCoeff.one(ctx)) ** (ctx.phi - r)
-        return c * inv(a * c)
-    m = ctx.p**a.prec
-    one = (1,) + (0,) * (ctx.phi - 1)
-    v = (pow(sum(a.unit), -1, m),) + one[1:]
-    for _ in range((ctx.phi * a.prec - 1).bit_length()):
-        uv = _unit_mul(ctx, a.unit, v, m)
-        v = _unit_mul(ctx, v, ((2 - uv[0]) % m,) + tuple(-t % m for t in uv[1:]), m)
-    if _unit_mul(ctx, a.unit, v, m) != one:
-        raise NotInvertibleError("inversion failed; unit part is not a unit")
-    return CycloCoeff(ctx, -a.shift, v, a.prec, _normalized=True)
+    if not r:
+        return CycloCoeff(ctx, -a.shift, _unit_inv(ctx, a.unit, a.prec), a.prec, _normalized=True)
+    prec = a.prec if 2 * r <= ctx.phi else a.prec - 1
+    if not prec:
+        raise NotInvertibleError("a ramified element with one digit leaves no digit of its inverse")
+    n, m = ctx.phi - r, ctx.p**a.prec
+    c = _reduce(ctx, [(-1) ** (n - i) * comb(n, i) for i in range(n + 1)], m * ctx.p)  # (x - 1)^n
+    w = tuple([v // ctx.p for v in _unit_mul(ctx, a.unit, c, m * ctx.p)])
+    return CycloCoeff(ctx, -a.shift - 1, _unit_mul(ctx, c, _unit_inv(ctx, w, a.prec), m), prec)
 
 
 def val_p(a: CycloCoeff) -> Fraction | float:

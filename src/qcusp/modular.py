@@ -8,19 +8,23 @@ corrupt high coefficients. The route chosen for j is E4^3 / Delta with
     Delta = q * prod_{n>=1} (1 - q^n)^24,
     E4    = 1 + 240 * sum_{n>=1} sigma_3(n) q^n,
 
-anchored by the classical leading coefficients 1, 744, 196884. The
-reversion q(w) of w = 1/j comes from Lagrange inversion,
+anchored by the classical leading coefficients 1, 744, 196884. Delta / q
+comes from Jacobi's sparse series for prod (1 - q^n)^3, squared three
+times, and j is one exact division of E4^3 by it (`_int_divide`, a
+dot-product recurrence), so no inverse series is formed. The reversion
+q(w) of w = 1/j comes from Lagrange inversion,
 b_d = (1/d) [q^(d-1)] (q*j)^d, with the powers split into baby and giant
 steps (Brent-Kung). Every series product goes through `_int_mul`, which
 truncates and pads around coeff's one polynomial product kernel: schoolbook
 for short factors, one Kronecker-packed big-int product for longer ones.
 
 b_d grows by about 10.8 bits per term, so `j_inverse_series` runs the same
-inversion mod p^(k+G) with G guard digits instead of over Z. It keeps the
-residues only when each one pins the p-adic valuation of b_d and k digits
-of its unit part, so the series is the same, field for field, as the
-reduction of the exact b_d; otherwise it widens G, and past a cap it uses
-the exact b_d.
+inversion mod p^(k+G) with G guard digits instead of over Z, on one exact
+q*j reduced mod p^(k+G) in each round. It keeps the residues only when
+each one pins the p-adic valuation of b_d and k digits of its unit part,
+so the series is the same, field for field, as the reduction of the exact
+b_d. Otherwise G jumps to the largest valuation a residue showed it needs,
+doubling only when a residue is 0, and past a cap it uses the exact b_d.
 """
 
 from __future__ import annotations
@@ -44,39 +48,33 @@ def _int_mul(a: list[int], b: list[int], n: int) -> list[int]:
     return out + [0] * (n + 1 - len(out))
 
 
-def _int_inverse(a: list[int], n: int) -> list[int]:
-    """Inverse of a series with a[0] = +-1, through degree n."""
-    if a[0] not in (1, -1):
-        raise DomainError("integer series inversion needs a unit constant term")
+def _int_divide(num: list[int], a: list[int], n: int) -> list[int]:
+    """num / a through degree n, n + 1 entries long, for an integer series a
+    with a[0] = +-1: out[d] = a[0] * (num[d] - sum_{i=1}^d a[i] out[d-i]),
+    one dot product per term."""
+    a0 = a[0]
+    if a0 not in (1, -1):
+        raise DomainError("integer series division needs a unit constant term")
     a = a[: n + 1] + [0] * (n + 1 - len(a))
-    out = [0] * (n + 1)
-    out[0] = a[0]
+    out = num[: n + 1] + [0] * (n + 1 - len(num))
+    out[0] *= a0
     for d in range(1, n + 1):
-        out[d] = -a[0] * sum(map(operator.mul, a[1 : d + 1], out[d - 1 :: -1]))
+        out[d] = a0 * (out[d] - sum(map(operator.mul, a[1 : d + 1], out[d - 1 :: -1])))
     return out
 
 
 def eta_power24(n: int) -> list[int]:
-    """prod_{m>=1} (1 - q^m)^24 through degree n, via Euler's pentagonal
-    series for prod (1 - q^m) followed by squarings."""
-    euler = [0] * (n + 1)
-    j = 0
-    while True:
-        g1 = j * (3 * j - 1) // 2
-        g2 = j * (3 * j + 1) // 2
-        if g1 > n and g2 > n and j > 0:
-            break
-        sign = -1 if j % 2 else 1
-        if g1 <= n:
-            euler[g1] += sign
-        if j > 0 and g2 <= n:
-            euler[g2] += sign
-        j += 1
-    e2 = _int_mul(euler, euler, n)
-    e4 = _int_mul(e2, e2, n)
-    e8 = _int_mul(e4, e4, n)
-    e16 = _int_mul(e8, e8, n)
-    return _int_mul(e16, e8, n)
+    """prod_{m>=1} (1 - q^m)^24 through degree n: Jacobi's identity
+    prod (1 - q^m)^3 = sum_{m>=0} (-1)^m (2m+1) q^(m(m+1)/2), squared three
+    times."""
+    eta3 = [0] * (n + 1)
+    m = 0
+    while m * (m + 1) // 2 <= n:
+        eta3[m * (m + 1) // 2] = -(2 * m + 1) if m % 2 else 2 * m + 1
+        m += 1
+    eta6 = _int_mul(eta3, eta3, n)
+    eta12 = _int_mul(eta6, eta6, n)
+    return _int_mul(eta12, eta12, n)
 
 
 def delta_coefficients(n: int) -> list[int]:
@@ -105,9 +103,8 @@ def j_coefficients(n_terms: int) -> list[int]:
     n = n_terms + 1
     e4 = eisenstein4_coefficients(n)
     e4cubed = _int_mul(_int_mul(e4, e4, n), e4, n)
-    eta24_inv = _int_inverse(eta_power24(n), n)
-    # j = E4^3 / (q * eta24) = q^(-1) * (E4^3 * eta24^(-1))
-    return _int_mul(e4cubed, eta24_inv, n)
+    # j = E4^3 / Delta = q^(-1) * (E4^3 / eta24), with eta24 = Delta / q
+    return _int_divide(e4cubed, eta_power24(n), n)
 
 
 def _reduce_int_series(ctx: RingContext, coeffs: list[int], first_exponent: int, laurent: bool) -> FracSeries:
@@ -141,8 +138,7 @@ def eisenstein4_series(ctx: RingContext, terms: int) -> FracSeries:
 def one_over_j_coefficients(n_terms: int) -> list[int]:
     """1/j = q - 744 q^2 + 356652 q^3 - ... through q^n_terms; index i holds
     the q^(i+1) coefficient."""
-    jc = j_coefficients(n_terms)
-    return _int_inverse(jc, n_terms - 1)
+    return _int_divide([1], j_coefficients(n_terms), n_terms - 1)
 
 
 def j_inverse_coefficients(n_terms: int, p: int | None = None, digits: int = 0) -> list[int]:
@@ -162,7 +158,13 @@ def j_inverse_coefficients(n_terms: int, p: int | None = None, digits: int = 0) 
     b_d mod p^(digits - v_p(d)), in [0, p^(digits - v_p(d))); digits must
     exceed v_p(d) for every d <= n.
     """
-    h = j_coefficients(n_terms)[:n_terms]
+    return _revert_qj(j_coefficients(n_terms)[:n_terms], p, digits)
+
+
+def _revert_qj(h: list[int], p: int | None = None, digits: int = 0) -> list[int]:
+    """b_1, ..., b_n of the reversion of 1/j from h = q*j through q^(n-1),
+    n = len(h); see `j_inverse_coefficients`."""
+    n_terms = len(h)
     top = n_terms - 1
     modulus = None if p is None else p**digits
     if modulus is not None:
@@ -198,8 +200,8 @@ def j_inverse_coefficients(n_terms: int, p: int | None = None, digits: int = 0) 
 
 
 # Largest guard width j_inverse_series tries before it falls back to the
-# exact reversion. Doubling from floor(log_p n) + 2 reaches 36 for p = 2 at
-# n = 200 and at most 12 for p >= 3 at n <= 200.
+# exact reversion. Over p in {2, 3, 5, 7, 11}, k <= 12 and n <= 200, G
+# reaches 36 for p = 2 and at most 12 for p >= 3.
 _MAX_GUARD = 64
 
 
@@ -207,26 +209,34 @@ def j_inverse_series(ctx: RingContext, terms: int) -> FracSeries:
     """The reversion q(w) in Z[[w]] with 1/j(q(w)) = w + O(w^(terms+1)),
     reduced into ctx. The variable of the returned series is w = 1/j.
 
-    The reversion runs mod p^(k+G) with G guard digits, starting from
-    G = floor(log_p terms) + 2. Residue r_d is b_d mod p^(k+G-v_p(d)). It is
-    accepted when r_d != 0 and v_p(r_d) + v_p(d) <= G. Then v_p(r_d) is
-    v_p(b_d) and at least k digits of b_d / p^(v_p(b_d)) are known, so
-    `CycloCoeff.from_int(ctx, r_d)` equals `from_int(ctx, b_d)` in shift,
-    unit and prec, and the output is the same as from the exact b_d. If any
-    residue fails, G doubles; beyond `_MAX_GUARD` the exact reversion over Z
-    is used.
+    h = q*j comes from `j_coefficients` once. The reversion runs on h mod
+    p^(k+G) with G guard digits, starting from G = floor(log_p terms) + 2.
+    Residue r_d is b_d mod p^(k+G-v_p(d)). It is accepted when r_d != 0 and
+    v_p(r_d) + v_p(d) <= G. Then v_p(r_d) is v_p(b_d) and at least k digits
+    of b_d / p^(v_p(b_d)) are known, so `CycloCoeff.from_int(ctx, r_d)`
+    equals `from_int(ctx, b_d)` in shift, unit and prec, and the output is
+    the same as from the exact b_d. A nonzero residue has the exact
+    valuation, so if any residue fails, G jumps to the largest
+    v_p(r_d) + v_p(d); it doubles as well only when some r_d is 0, whose
+    valuation is unknown. Beyond `_MAX_GUARD` the exact reversion over Z is
+    used.
     """
     p = ctx.p
+    h = j_coefficients(terms)[:terms]
     guard = 2  # floor(log_p terms) + 2
     while p ** (guard - 1) <= terms:
         guard += 1
     while guard <= _MAX_GUARD:
-        coeffs = j_inverse_coefficients(terms, p, ctx.k + guard)
-        if all(r and _split_p(r, p)[0] + _split_p(d, p)[0] <= guard for d, r in enumerate(coeffs, 1)):
+        coeffs = _revert_qj(h, p, ctx.k + guard)
+        need = max((_split_p(r, p)[0] + _split_p(d, p)[0] for d, r in enumerate(coeffs, 1) if r), default=0)
+        if not all(coeffs):
+            guard = max(need, 2 * guard)
+        elif need > guard:
+            guard = need
+        else:
             break
-        guard *= 2
     else:
-        coeffs = j_inverse_coefficients(terms)
+        coeffs = _revert_qj(h)
     return _reduce_int_series(ctx, [0] + coeffs, 0, laurent=False)
 
 

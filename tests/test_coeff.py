@@ -127,17 +127,19 @@ def test_inv_examples():
 
 def test_inv_random_roundtrip(rng):
     # a unit's inverse keeps its digits and negates its shift; a ramified
-    # element's inverse has one more factor p in the denominator and one digit less
+    # element's inverse has one more factor p in the denominator, and one
+    # digit less only when its pi-adic order r has 2r > phi
     ctx = new_ring(3, 5, 2)
     kinds = set()
     for _ in range(20):
         a = random_coeff(rng, ctx, entries=3, shift_range=(-1, 1))
         b = inv(a)
-        ramified = sum(a.unit) % 3 == 0
+        r = (val_p(a) - a.shift) * ctx.phi
+        ramified, short = r > 0, 2 * r > ctx.phi
         kinds.add(ramified)
         assert a * b == CycloCoeff.one(ctx)
         assert val_p(b) == -val_p(a)
-        assert (b.shift, b.prec) == (-a.shift - ramified, a.prec - ramified)
+        assert (b.shift, b.prec) == (-a.shift - ramified, a.prec - short)
     assert kinds == {False, True}
 
 
@@ -146,11 +148,16 @@ def test_inv_rejections():
     with pytest.raises(NotInvertibleError):
         inv(CycloCoeff.zero(ctx))
     pi = zeta(ctx, 1) - CycloCoeff.one(ctx)  # val 1/2, not a shifted unit
-    with pytest.raises(NotInvertibleError):
-        inv(pi.reduce_precision(1))  # its inverse would keep no digit
-    # pi^2 = -3 zeta, so pi^-1 = -(2 + zeta)/3, one digit short of pi
+    # pi^2 = -3 zeta, so pi^-1 = -(2 + zeta)/3, with every digit of pi (2r = phi)
     b = inv(pi)
-    assert (b.shift, b.prec) == (-1, 4) and b == CycloCoeff.from_poly(ctx, [-2, -1], -1)
+    assert (b.shift, b.prec) == (-1, 5) and b == CycloCoeff.from_poly(ctx, [-2, -1], -1)
+    b = inv(pi.reduce_precision(1))
+    assert (b.shift, b.prec) == (-1, 1) and b == CycloCoeff.from_poly(ctx, [-2, -1], -1)
+    # at p = 5, pi^3 has 2r > phi = 4: its inverse is one digit short, so one digit leaves none
+    pi3 = (zeta(new_ring(5, 5, 1), 1) - CycloCoeff.one(new_ring(5, 5, 1))) ** 3
+    assert inv(pi3).prec == 4
+    with pytest.raises(NotInvertibleError):
+        inv(pi3.reduce_precision(1))
 
 
 def test_val_p_examples():
@@ -317,32 +324,87 @@ def test_inv_is_inverse_at_precision(p, s, data):
     assert (prod.shift, prod.unit, prod.prec) == (0, (1,) + (0,) * (ctx.phi - 1), a.prec)
 
 
+def pi_power_times(r: int, w: list[int]) -> list[int]:
+    """The integer polynomial (x - 1)^r * w."""
+    for _ in range(r):
+        w = [a - b for a, b in zip([0, *w], [*w, 0])]
+    return w
+
+
+def assert_digits_agree(b, want):
+    """Every digit b claims agrees with want, an inverse at higher precision."""
+    assert want.shift == b.shift and all((x - y) % b.ctx.p**b.prec == 0 for x, y in zip(want.unit, b.unit))
+
+
 @pytest.mark.parametrize("p,s", [(p, s) for p, s in RINGS if s > 0])
 @settings(max_examples=10, deadline=None)
 @given(data=st.data())
 def test_inv_rejects_exactly_the_ramified(p, s, data):
     # a = pi^i * w with pi = zeta_{p^s} - 1 and w a unit has val_p = shift + i/phi;
     # it is a shifted unit iff phi | i, iff its normalized u(1) != 0 mod p.
-    # Every nonzero a inverts, a ramified one with one digit less; at one
-    # digit that leaves none, and only then does a nonzero a raise
+    # Every nonzero a inverts; a ramified one with r = i mod phi and 2r > phi
+    # keeps one digit less, at one digit that leaves none, and only then
+    # does a nonzero a raise
     ctx, prec = data.draw(ring_and_precision(p, s, min_k=3))
     w = data.draw(units(ctx, prec))
     i = data.draw(st.integers(0, 2 * ctx.phi - 1))
     a = (zeta(ctx, s) - CycloCoeff.one(ctx)) ** i * w
     ramified = i % ctx.phi != 0
+    short = 2 * (i % ctx.phi) > ctx.phi
     assert ramified == (sum(a.unit) % p == 0) == (val_p(a) != a.shift)
-    if ramified and a.prec == 1:
+    if short and a.prec == 1:
         with pytest.raises(NotInvertibleError):
             inv(a)
         return
     b = inv(a)
-    assert val_p(b) == -val_p(a) and b.prec == a.prec - ramified
+    assert val_p(b) == -val_p(a) and b.prec == a.prec - short
     # every claimed digit agrees with the inverse of the same representative at k + 6
     hi = new_ring(p, ctx.k + 6, s)
     a_hi = CycloCoeff(hi, a.shift, a.unit)
     want = inv(a_hi)
     assert a_hi * want == CycloCoeff.one(hi)
-    assert want.shift == b.shift and all((x - y) % p**b.prec == 0 for x, y in zip(want.unit, b.unit))
+    assert_digits_agree(b, want)
+
+
+@settings(max_examples=60, deadline=None)
+@given(ps=st.sampled_from([(2, 1), (2, 2), (3, 1), (3, 2), (5, 1), (5, 2)]), data=st.data())
+def test_inv_keeps_every_digit_it_knows(ps, data):
+    # a = p^t * pi^r * w, w a unit, known to prec digits: any lift of a, built
+    # at k + 6, has an inverse that agrees with inv(a) at every claimed digit;
+    # the claim is prec digits, or prec - 1 when 2r > phi
+    p, s = ps
+    lo = new_ring(p, data.draw(st.integers(1, 8)), s)
+    hi = new_ring(p, lo.k + 6, s)
+    r = data.draw(st.integers(0, lo.phi - 1))
+    w = data.draw(st.lists(st.integers(-p**3, p**3), min_size=lo.phi, max_size=lo.phi).filter(lambda w: sum(w) % p))
+    t, prec = data.draw(st.integers(-2, 2)), data.draw(st.integers(1, lo.k))
+    exact = pi_power_times(r, w)
+    a = CycloCoeff.from_poly(lo, exact, t).reduce_precision(prec)
+    assert val_p(a) == t + Fraction(r, lo.phi) and a.prec == prec
+    short = 2 * r > lo.phi
+    if short and prec == 1:
+        with pytest.raises(NotInvertibleError):
+            inv(a)
+        return
+    b = inv(a)
+    assert (b.shift, b.prec) == (-t - (r > 0), prec - short)
+    z = data.draw(st.lists(st.integers(-p**3, p**3), min_size=len(exact), max_size=len(exact)))
+    for lift in (exact, [e + p**prec * v for e, v in zip(exact, z)]):
+        assert_digits_agree(b, inv(CycloCoeff.from_poly(hi, lift, t)))
+
+
+@pytest.mark.parametrize("p,s,r,kept", [(3, 1, 1, 5), (2, 2, 1, 5), (5, 1, 1, 5), (5, 1, 2, 5), (5, 1, 3, 4)])
+def test_inv_of_pi_powers_at_the_lift(p, s, r, kept):
+    # pi^r at k = 5 against pi^r and pi^r + p^5 at k + 6: with 2r <= phi all
+    # five digits are known; with 2r > phi the two lifts' inverses differ at
+    # the fifth, so claiming it would be wrong
+    exact = pi_power_times(r, [1])
+    b = inv(CycloCoeff.from_poly(new_ring(p, 5, s), exact))
+    assert b.prec == kept
+    lifts = [inv(CycloCoeff.from_poly(new_ring(p, 11, s), [exact[0] + c, *exact[1:]])) for c in (0, p**5)]
+    for want in lifts:
+        assert_digits_agree(b, want)
+    assert any((x - y) % p**5 for x, y in zip(lifts[0].unit, lifts[1].unit)) == (kept < 5)
 
 
 # -- the normal form against the digit-at-a-time references -------------------

@@ -7,12 +7,14 @@ from functools import cache
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from qcusp.coeff import CycloCoeff, inv, new_ring, val_p
+from qcusp.coeff import _KRONECKER_MIN_PHI, CycloCoeff, inv, new_ring, val_p
 from qcusp import modular
 from qcusp.errors import DomainError
 from qcusp.modular import (
+    _int_divide,
     _int_mul,
     _reduce_int_series,
+    delta_coefficients,
     delta_series,
     eisenstein4_coefficients,
     eisenstein4_series,
@@ -175,13 +177,15 @@ def test_tate_parameter_valuation_relation():
 
 def test_tate_parameter_of_a_ramified_j():
     # j = (zeta_3 - 1)/3 has val_p(j) = -1/2 and a unit part that is not a unit;
-    # every digit claimed at k = 6 agrees with the same j at k + 6
-    def q_e(k):
-        return tate_parameter_from_j(CycloCoeff.from_poly(new_ring(3, k, 1), [-1, 1], -1))
+    # 1/j keeps all six digits (2r = phi), and every digit claimed at k = 6
+    # agrees with the same j, and with j + 3^5, at k + 6
+    def q_e(k, c0=-1):
+        return tate_parameter_from_j(CycloCoeff.from_poly(new_ring(3, k, 1), [c0, 1], -1))
 
-    lo, hi = q_e(6), q_e(12)
-    assert val_p(lo) == Fraction(1, 2) and (lo.shift, lo.prec) == (hi.shift, 5)
-    assert lo.unit == tuple(v % 3**5 for v in hi.unit)
+    lo = q_e(6)
+    assert val_p(lo) == Fraction(1, 2) and lo.prec == 6
+    for hi in (q_e(12), q_e(12, -1 + 3**6)):
+        assert lo.shift == hi.shift and lo.unit == tuple(v % 3**6 for v in hi.unit)
 
 
 def test_tate_parameter_rejects_integral_j():
@@ -232,6 +236,37 @@ def test_int_mul_widest_slots(bits):
             a, b = [sa * top] * la, [sb * top] * lb
             for n in (la + lb - 2, la + lb + 3, (la + lb) // 2):
                 assert _int_mul(a, b, n) == schoolbook_mul(a, b, n)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    num=st.lists(st.integers(-(1 << 200), 1 << 200), max_size=2 * _KRONECKER_MIN_PHI + 4),
+    a=st.tuples(st.sampled_from([1, -1]), st.lists(st.integers(-(1 << 40), 1 << 40), max_size=2 * _KRONECKER_MIN_PHI + 4)),
+    n=st.integers(0, 2 * _KRONECKER_MIN_PHI + 4),
+)
+def test_int_divide_undoes_int_mul(num, a, n):
+    # num / a times a gives back num through degree n, for divisors and
+    # quotients on both sides of the packed product's crossover
+    a = [a[0], *a[1]]
+    assert _int_mul(_int_divide(num, a, n), a, n) == (num + [0] * (n + 1))[: n + 1]
+
+
+def test_int_divide_needs_a_unit_constant_term():
+    with pytest.raises(DomainError):
+        _int_divide([1], [2, 1], 3)
+
+
+def test_j_minus_1728_times_delta_is_e6_squared():
+    # E4^3 - E6^2 = 1728 Delta, so (j - 1728) Delta = E6^2 pins j and Delta
+    # through q^301, with E6 = 1 - 504 sum sigma_5(m) q^m from its own sieve
+    n = 301
+    e6 = [1] + [0] * n
+    for e in range(1, n + 1):
+        for d in range(e, n + 1, e):
+            e6[d] -= 504 * e**5
+    qj = j_coefficients(n - 1)  # q*j through q^301
+    qj[1] -= 1728
+    assert schoolbook_mul(qj, delta_coefficients(n + 1), n) == schoolbook_mul(e6, e6, n)
 
 
 def back_substitution_reversion(n_terms: int) -> list[int]:
@@ -302,14 +337,15 @@ def test_modular_reversion_is_exact_mod_p_power(p, data):
 
 
 def spy_reversion(monkeypatch) -> list[tuple]:
+    """Record (n, p, digits) of each reversion round j_inverse_series runs."""
     calls = []
-    real = modular.j_inverse_coefficients
+    real = modular._revert_qj
 
-    def spy(n_terms, p=None, digits=0):
-        calls.append((n_terms, p, digits))
-        return real(n_terms, p, digits)
+    def spy(h, p=None, digits=0):
+        calls.append((len(h), p, digits))
+        return real(h, p, digits)
 
-    monkeypatch.setattr(modular, "j_inverse_coefficients", spy)
+    monkeypatch.setattr(modular, "_revert_qj", spy)
     return calls
 
 
@@ -321,20 +357,44 @@ def test_j_inverse_series_first_guard(monkeypatch, p, n, guard):
     assert calls[0] == (n, p, 3 + guard)
 
 
-def test_j_inverse_series_doubles_the_guard(monkeypatch):
+def test_j_inverse_series_jumps_the_guard(monkeypatch):
     # G starts at floor(log_2 40) + 2 = 7; b_32 = 2^8 * odd and v_2(32) = 5
-    # need G >= 13, so one doubling to 14 pins every shift
+    # need G >= 13, and the nonzero residue r_32 shows it, so G jumps to 13
     calls = spy_reversion(monkeypatch)
     ctx = new_ring(2, 12, 1)
     got = j_inverse_series(ctx, 40)
-    assert calls == [(40, 2, 19), (40, 2, 26)]
+    assert calls == [(40, 2, 19), (40, 2, 25)]
+    assert fields(got) == fields(exact_series(ctx, 40))
+
+
+def test_j_inverse_series_doubles_the_guard(monkeypatch):
+    # at k = 4, G = 7 leaves r_32 = b_32 mod 2^(11 - 5) = 0, whose valuation
+    # is unknown; no nonzero residue needs more than 13, so G doubles to 14
+    h = j_coefficients(40)[:40]
+    first = modular._revert_qj(h, 2, 11)
+    assert first[31] == 0
+    assert max(vp(r, 2) + vp(d, 2) for d, r in enumerate(first, 1) if r) < 14
+    calls = spy_reversion(monkeypatch)
+    ctx = new_ring(2, 4, 0)
+    got = j_inverse_series(ctx, 40)
+    assert calls == [(40, 2, 11), (40, 2, 18)]
     assert fields(got) == fields(exact_series(ctx, 40))
 
 
 def test_j_inverse_series_falls_back_to_exact(monkeypatch):
+    # the jump from G = 7 to 13 passes the cap of 7
     calls = spy_reversion(monkeypatch)
     monkeypatch.setattr(modular, "_MAX_GUARD", 7)
     ctx = new_ring(2, 12, 1)
     got = j_inverse_series(ctx, 40)
     assert calls == [(40, 2, 19), (40, None, 0)]
     assert fields(got) == fields(exact_series(ctx, 40))
+
+
+def test_j_inverse_series_builds_j_once(monkeypatch):
+    # every round, the exact fallback included, reduces one q*j
+    real, seen = modular.j_coefficients, []
+    monkeypatch.setattr(modular, "j_coefficients", lambda n: seen.append(n) or real(n))
+    monkeypatch.setattr(modular, "_MAX_GUARD", 7)
+    j_inverse_series(new_ring(2, 12, 1), 40)
+    assert seen == [40]
