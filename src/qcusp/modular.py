@@ -8,11 +8,14 @@ corrupt high coefficients. The route chosen for j is E4^3 / Delta with
     Delta = q * prod_{n>=1} (1 - q^n)^24,
     E4    = 1 + 240 * sum_{n>=1} sigma_3(n) q^n,
 
-anchored by the classical leading coefficients 1, 744, 196884. Delta / q
-comes from Jacobi's sparse series for prod (1 - q^n)^3, squared three
-times, and j is one exact division of E4^3 by it (`_int_divide`, a
-dot-product recurrence), so no inverse series is formed. The reversion
-q(w) of w = 1/j comes from Lagrange inversion,
+anchored by the classical leading coefficients 1, 744, 196884. Since
+dim M_8 = 1, E4^2 = E8 = 1 + 480 * sum sigma_7(n) q^n comes from the same
+divisor sieve as E4, so the numerator E4 * E8 is one product. Delta / q is
+(eta^3)^8, with eta^3 = prod (1 - q^n)^3 Jacobi's sparse series
+sum (-1)^m (2m+1) q^(m(m+1)/2), and j is eight exact divisions of E4 * E8
+by eta^3 (`_int_divide`, which skips the divisor's zeros). No inverse
+series is formed, and eta^3 is squared up to eta^24 only for Delta itself.
+The reversion q(w) of w = 1/j comes from Lagrange inversion,
 b_d = (1/d) [q^(d-1)] (q*j)^d, with the powers split into baby and giant
 steps (Brent-Kung). Every series product goes through `_int_mul`, which
 truncates and pads around coeff's one polynomial product kernel: schoolbook
@@ -51,27 +54,50 @@ def _int_mul(a: list[int], b: list[int], n: int) -> list[int]:
 def _int_divide(num: list[int], a: list[int], n: int) -> list[int]:
     """num / a through degree n, n + 1 entries long, for an integer series a
     with a[0] = +-1: out[d] = a[0] * (num[d] - sum_{i=1}^d a[i] out[d-i]),
-    one dot product per term."""
+    summed over the nonzero a[i] only, so a sparse divisor costs its
+    nonzero count per term."""
     a0 = a[0]
     if a0 not in (1, -1):
         raise DomainError("integer series division needs a unit constant term")
-    a = a[: n + 1] + [0] * (n + 1 - len(a))
+    terms = [(i, c) for i, c in enumerate(a[1 : n + 1], 1) if c]
     out = num[: n + 1] + [0] * (n + 1 - len(num))
     out[0] *= a0
     for d in range(1, n + 1):
-        out[d] = a0 * (out[d] - sum(map(operator.mul, a[1 : d + 1], out[d - 1 :: -1])))
+        acc = out[d]
+        for i, c in terms:
+            if i > d:
+                break
+            acc -= c * out[d - i]
+        out[d] = a0 * acc
+    return out
+
+
+def _eta_cubed(n: int) -> list[int]:
+    """prod_{m>=1} (1 - q^m)^3 through degree n by Jacobi's identity: the sum
+    of (-1)^m (2m+1) q^(m(m+1)/2), about sqrt(2n) nonzero terms."""
+    out = [0] * (n + 1)
+    m = 0
+    while m * (m + 1) // 2 <= n:
+        out[m * (m + 1) // 2] = -(2 * m + 1) if m % 2 else 2 * m + 1
+        m += 1
+    return out
+
+
+def _divisor_sum_series(c: int, w: int, n: int) -> list[int]:
+    """1 + c * sum_{m>=1} sigma_w(m) q^m through degree n."""
+    out = [0] * (n + 1)
+    out[0] = 1
+    for e in range(1, n + 1):  # divisor sieve: e**w reaches every multiple of e
+        t = c * e**w
+        for d in range(e, n + 1, e):
+            out[d] += t
     return out
 
 
 def eta_power24(n: int) -> list[int]:
-    """prod_{m>=1} (1 - q^m)^24 through degree n: Jacobi's identity
-    prod (1 - q^m)^3 = sum_{m>=0} (-1)^m (2m+1) q^(m(m+1)/2), squared three
-    times."""
-    eta3 = [0] * (n + 1)
-    m = 0
-    while m * (m + 1) // 2 <= n:
-        eta3[m * (m + 1) // 2] = -(2 * m + 1) if m % 2 else 2 * m + 1
-        m += 1
+    """prod_{m>=1} (1 - q^m)^24 through degree n: Jacobi's eta^3 squared
+    three times."""
+    eta3 = _eta_cubed(n)
     eta6 = _int_mul(eta3, eta3, n)
     eta12 = _int_mul(eta6, eta6, n)
     return _int_mul(eta12, eta12, n)
@@ -86,25 +112,23 @@ def delta_coefficients(n: int) -> list[int]:
 
 def eisenstein4_coefficients(n: int) -> list[int]:
     """E4 through degree n: 1 + 240 sum sigma_3(m) q^m."""
-    out = [0] * (n + 1)
-    out[0] = 1
-    for e in range(1, n + 1):  # divisor sieve: e**3 reaches every multiple of e
-        c = 240 * e**3
-        for d in range(e, n + 1, e):
-            out[d] += c
-    return out
+    return _divisor_sum_series(240, 3, n)
 
 
 def j_coefficients(n_terms: int) -> list[int]:
     """Laurent coefficients of j from q^(-1) through q^(n_terms): the list
-    starts [1, 744, 196884, ...] with index i holding the q^(i-1) coefficient."""
+    starts [1, 744, 196884, ...] with index i holding the q^(i-1) coefficient.
+
+    j = E4^3 / Delta = q^(-1) * (E4 * E8) / (eta^3)^8, with E8 = E4^2 from
+    its own sieve and eta^3 Jacobi's sparse series; eta^24 is not formed."""
     if n_terms < 1:
         raise ValueError("need at least one term")
     n = n_terms + 1
-    e4 = eisenstein4_coefficients(n)
-    e4cubed = _int_mul(_int_mul(e4, e4, n), e4, n)
-    # j = E4^3 / Delta = q^(-1) * (E4^3 / eta24), with eta24 = Delta / q
-    return _int_divide(e4cubed, eta_power24(n), n)
+    out = _int_mul(eisenstein4_coefficients(n), _divisor_sum_series(480, 7, n), n)
+    eta3 = _eta_cubed(n)
+    for _ in range(8):
+        out = _int_divide(out, eta3, n)
+    return out
 
 
 def _reduce_int_series(ctx: RingContext, coeffs: list[int], first_exponent: int, laurent: bool) -> FracSeries:

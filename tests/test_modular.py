@@ -68,7 +68,18 @@ def oracle_j_coefficients(n_terms: int) -> list[int]:
 
 
 def test_oracle_agrees_with_production():
-    assert oracle_j_coefficients(8) == j_coefficients(8)
+    # at every length: the top degree n + 1 of q*j is a triangular number for
+    # n = 2, 5, 9, 14, 20, 27 and 35, where a new term of Jacobi's eta^3
+    # enters the division
+    want = oracle_j_coefficients(40)
+    for n in range(1, 41):
+        assert j_coefficients(n) == want[: n + 2]
+
+
+def test_e8_sieve_is_e4_squared():
+    # dim M_8 = 1, so 1 + 480 sum sigma_7(m) q^m = E4^2
+    e4 = eisenstein4_coefficients(60)
+    assert modular._divisor_sum_series(480, 7, 60) == _int_mul(e4, e4, 60)
 
 
 def test_j_golden_values():
@@ -238,16 +249,36 @@ def test_int_mul_widest_slots(bits):
                 assert _int_mul(a, b, n) == schoolbook_mul(a, b, n)
 
 
+_DIVISOR_SIZE = 2 * _KRONECKER_MIN_PHI + 4
+
+
+@st.composite
+def sparse_divisors(draw):
+    """a[0] = +-1 and at most three nonzero entries among zeros, so the
+    division skips most of a and meets terms beyond the current degree."""
+    size = draw(st.integers(0, _DIVISOR_SIZE))
+    a = [draw(st.sampled_from([1, -1]))] + [0] * size
+    for i in draw(st.sets(st.integers(1, size), max_size=3)) if size else ():
+        a[i] = draw(st.integers(-(1 << 40), 1 << 40).filter(bool))
+    return a
+
+
+dense_divisors = st.builds(
+    lambda a0, rest: [a0, *rest],
+    st.sampled_from([1, -1]),
+    st.lists(st.integers(-(1 << 40), 1 << 40), max_size=_DIVISOR_SIZE),
+)
+
+
 @settings(max_examples=150, deadline=None)
 @given(
-    num=st.lists(st.integers(-(1 << 200), 1 << 200), max_size=2 * _KRONECKER_MIN_PHI + 4),
-    a=st.tuples(st.sampled_from([1, -1]), st.lists(st.integers(-(1 << 40), 1 << 40), max_size=2 * _KRONECKER_MIN_PHI + 4)),
-    n=st.integers(0, 2 * _KRONECKER_MIN_PHI + 4),
+    num=st.lists(st.integers(-(1 << 200), 1 << 200), max_size=_DIVISOR_SIZE),
+    a=dense_divisors | sparse_divisors(),
+    n=st.integers(0, _DIVISOR_SIZE),
 )
 def test_int_divide_undoes_int_mul(num, a, n):
-    # num / a times a gives back num through degree n, for divisors and
-    # quotients on both sides of the packed product's crossover
-    a = [a[0], *a[1]]
+    # num / a times a gives back num through degree n, for dense and sparse
+    # divisors and quotients on both sides of the packed product's crossover
     assert _int_mul(_int_divide(num, a, n), a, n) == (num + [0] * (n + 1))[: n + 1]
 
 
