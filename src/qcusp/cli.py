@@ -14,13 +14,14 @@ import sys
 
 from .action import CuspPoint, Mat2, ProjPoint, act_cusp, check_index
 from .coeff import RingContext, new_ring
-from .errors import QcuspError, SeriesFileError
+from .errors import QcuspError
 from .fileformat import (
     emit_series,
     emit_tower,
     format_coefficient,
     format_exponent,
     header_metadata,
+    parse_header_int,
     parse_series,
 )
 from .modular import j_inverse_series, j_series
@@ -79,10 +80,7 @@ def _load(args, kind: type, message: str) -> tuple:
     series = parse_series(text, _overrides(args))
     if not isinstance(series, kind):
         raise QcuspError(message)
-    try:
-        e = int(meta.get("e", "1"))
-    except ValueError:
-        raise SeriesFileError(f"bad e header {meta['e']!r}")
+    e = parse_header_int("e", meta.get("e", "1"))
     check_index(e, series.p)
     return series, meta.get("cusp_label", ""), e
 

@@ -7,34 +7,45 @@ exponent order. A term line reads ``<exponent> : <coefficient>`` with
     exponent     ::= <num> | <num>/p^<r>
     coefficient  ::= <int> | p^<t>*(<poly>)
     poly         ::= <int> | <int>*z | <int>*z^<i>  joined by " + "
+    int          ::= <digits> | -<digits>
 
 where z denotes the designated primitive p^s-th unit root. mode is ``frac``
 for coefficient-ring series and ``charp`` for residue (characteristic p)
 series; charp files carry k=1, s=0 and plain integer coefficients.
 
+The header fields p, k, s, depth and e are <int>, and deg is ``inf``,
+<int> or <int>/<digits>; a digit is an ASCII digit.
+
 Blank lines and ``#`` comments are accepted on input, never emitted.
-Emission of a normalized series round-trips byte-for-byte.
+Emission of a normalized series round-trips byte-for-byte. Term lines
+stream into the series constructor, which checks each exponent; its errors,
+like the parser's own, name the offending line number.
 """
 
 from __future__ import annotations
 
 import re
+from collections.abc import Iterator
 from fractions import Fraction
+from itertools import chain
 from math import inf
 
 from .coeff import CycloCoeff, RingContext, new_ring
-from .errors import SeriesFileError
+from .errors import QcuspError, SeriesFileError
 from .series import FracSeries, exponent_depth, lowest_terms
 from .tiltperf import CharPSeries, TiltTower
 
 HEADER_ORDER = ("p", "k", "s", "depth", "deg", "laurent", "cusp_label", "e", "mode")
 
-_EXP_RE = re.compile(r"^(-?\d+)(?:/p\^(\d+))?$")
-_INT_RE = re.compile(r"-?\d+")  # int() alone would also take "+5", " 7" and "1_000"
+# Digits are ASCII digits (re.ASCII). int() alone would also take "+5",
+# " 7", "1_000" and other scripts' digits.
+_EXP_RE = re.compile(r"^(-?\d+)(?:/p\^(\d+))?$", re.ASCII)
+_INT_RE = re.compile(r"-?\d+", re.ASCII)
+_DEG_RE = re.compile(r"-?\d+(/0*[1-9]\d*)?", re.ASCII)
 _PLUS_RE = re.compile(r"\s*\+\s*")
-_COEFF_RE = re.compile(r"^p\^(-?\d+)\*\((.*)\)$")
-_POLY_TERM_RE = re.compile(r"^(-?\d+)(\*z(\^(\d+))?)?$")
-_POLY_TERM_BARE_Z_RE = re.compile(r"^z(\^(\d+))?$")
+_COEFF_RE = re.compile(r"^p\^(-?\d+)\*\((.*)\)$", re.ASCII)
+_POLY_TERM_RE = re.compile(r"^(-?\d+)(\*z(\^(\d+))?)?$", re.ASCII)
+_POLY_TERM_BARE_Z_RE = re.compile(r"^z(\^(\d+))?$", re.ASCII)
 _HEADER_RE = re.compile(r"^[a-z_]+\s*=")
 
 
@@ -45,13 +56,20 @@ def _format_deg(deg) -> str:
     return str(deg.numerator) if deg.denominator == 1 else f"{deg.numerator}/{deg.denominator}"
 
 
-def _parse_deg(text: str, line: int | None = None):
+def _parse_deg(text: str):
+    """deg ::= inf | <int> | <int>/<digits>, with a nonzero denominator."""
     if text == "inf":
         return inf
-    try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError):
-        raise SeriesFileError(f"bad degree bound {text!r}", line)
+    if not _DEG_RE.fullmatch(text):
+        raise SeriesFileError(f"bad degree bound {text!r}")
+    return Fraction(text)
+
+
+def parse_header_int(key: str, text: str) -> int:
+    """An integer header field, read by the coefficient grammar's <int>."""
+    if not _INT_RE.fullmatch(text):
+        raise SeriesFileError(f"bad {key} header {text!r}")
+    return int(text)
 
 
 def format_exponent(m: Fraction, p: int) -> str:
@@ -64,9 +82,7 @@ def _format_exponent(num: int, r: int) -> str:
 
 
 def format_coefficient(c: CycloCoeff) -> str:
-    if c.is_zero():
-        return "0"
-    if c.shift == 0 and all(v == 0 for v in c.unit[1:]):
+    if c.shift == 0 and not any(c.unit[1:]):  # zero too: its shift is 0
         return str(c.unit[0])
     parts = []
     for i, v in enumerate(c.unit):
@@ -110,17 +126,13 @@ def parse_coefficient(ctx: RingContext, text: str, line: int) -> CycloCoeff:
     return CycloCoeff.from_poly(ctx, poly, shift)
 
 
-def parse_exponent(text: str, p: int, line: int) -> tuple[int, int]:
-    """The exponent num / p^r as (num, r) in lowest terms."""
+def parse_exponent(text: str, line: int) -> tuple[int, int]:
+    """The exponent num / p^r as written, (num, r); the series constructor
+    checks it."""
     m = _EXP_RE.match(text.strip())
     if not m:
         raise SeriesFileError(f"bad exponent syntax {text!r}", line)
-    num = int(m.group(1))
-    r = int(m.group(2)) if m.group(2) else 0
-    while r and num % p == 0:
-        num //= p
-        r -= 1
-    return num, r
+    return int(m.group(1)), int(m.group(2) or 0)
 
 
 def emit_series(f: FracSeries | CharPSeries, cusp_label: str = "", e: int = 1) -> str:
@@ -145,40 +157,44 @@ def _parse_charp_coefficient(text: str, line: int) -> int:
     return int(text)
 
 
+def _split(text: str) -> tuple[dict[str, str], Iterator[tuple[int, str]]]:
+    """The header fields of a series file, and an iterator over its term
+    lines: (line number, content) of every line from the first one that is
+    not a header line on, blank ones and ``#`` comments cut. Unknown and
+    repeated header keys are rejected."""
+    numbered = enumerate(text.splitlines(), start=1)
+    lines = ((n, line) for n, raw in numbered if (line := raw.split("#", 1)[0].strip()))
+    header: dict[str, str] = {}
+    for lineno, line in lines:
+        if not _HEADER_RE.match(line):
+            return header, chain([(lineno, line)], lines)
+        key, _, value = line.partition("=")
+        key = key.strip()
+        if key not in HEADER_ORDER:
+            raise SeriesFileError(f"unknown header key {key!r}", lineno)
+        if key in header:
+            raise SeriesFileError(f"duplicate header key {key!r}", lineno)
+        header[key] = value.strip()
+    return header, lines  # exhausted
+
+
+def header_metadata(text: str) -> dict[str, str]:
+    """Just the header fields of a series file (cusp_label, e, ...)."""
+    return _split(text)[0]
+
+
 def parse_series(text: str, overrides: dict | None = None) -> FracSeries | CharPSeries:
     """Parse a series file; `overrides` replaces header fields before
-    interpretation. Duplicate exponents and header/term inconsistencies are
-    rejected with the offending line number."""
-    header: dict[str, str] = {}
-    term_lines: list[tuple[int, str]] = []
-    in_terms = False
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if not in_terms and _HEADER_RE.match(line):
-            key, _, value = line.partition("=")
-            key = key.strip()
-            if key not in HEADER_ORDER:
-                raise SeriesFileError(f"unknown header key {key!r}", lineno)
-            if key in header:
-                raise SeriesFileError(f"duplicate header key {key!r}", lineno)
-            header[key] = value.strip()
-        else:
-            in_terms = True
-            term_lines.append((lineno, line))
+    interpretation. The terms stream into the series constructor, which
+    checks each one; a syntax error, a duplicate exponent or a term that
+    breaks the header's bounds is rejected with the offending line number."""
+    header, term_lines = _split(text)
     if overrides:
         header.update({k: str(v) for k, v in overrides.items() if v is not None})
     for required in ("p", "k", "s", "depth", "deg", "laurent"):
         if required not in header:
             raise SeriesFileError(f"missing header key {required!r}")
-    try:
-        p = int(header["p"])
-        k = int(header["k"])
-        s = int(header["s"])
-        depth_bound = int(header["depth"])
-    except ValueError as exc:
-        raise SeriesFileError(f"bad numeric header: {exc}")
+    p, k, s, depth_bound = (parse_header_int(key, header[key]) for key in ("p", "k", "s", "depth"))
     deg_bound = _parse_deg(header["deg"])
     if header["laurent"] not in ("true", "false"):
         raise SeriesFileError("laurent must be true or false")
@@ -196,33 +212,22 @@ def parse_series(text: str, overrides: dict | None = None) -> FracSeries | CharP
             raise SeriesFileError(f"bad ring header: {exc}")
         cls, ring = FracSeries, ctx
         parse_coeff = lambda text, line: parse_coefficient(ctx, text, line)
-    terms = {}
-    for lineno, line in term_lines:
-        exp_text, sep, coeff_text = line.partition(":")
-        if not sep:
-            raise SeriesFileError("term line needs 'exponent : coefficient'", lineno)
-        m = parse_exponent(exp_text, p, lineno)
-        if m in terms:
-            raise SeriesFileError(f"duplicate exponent {exp_text.strip()!r}", lineno)
-        terms[m] = parse_coeff(coeff_text, lineno)
+    lineno = None  # the term line being read
+
+    def terms():
+        nonlocal lineno
+        for lineno, line in term_lines:
+            exp_text, sep, coeff_text = line.partition(":")
+            if not sep:
+                raise SeriesFileError("term line needs 'exponent : coefficient'", lineno)
+            yield parse_exponent(exp_text, lineno), parse_coeff(coeff_text, lineno)
+
     try:
-        return cls(ring, terms, deg_bound, depth_bound, laurent)
-    except Exception as exc:
-        raise SeriesFileError(str(exc))
-
-
-def header_metadata(text: str) -> dict[str, str]:
-    """Just the header fields of a series file (cusp_label, e, ...)."""
-    meta: dict[str, str] = {}
-    for raw in text.splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if not _HEADER_RE.match(line):
-            break
-        key, _, value = line.partition("=")
-        meta[key.strip()] = value.strip()
-    return meta
+        return cls(ring, terms(), deg_bound, depth_bound, laurent)
+    except SeriesFileError:
+        raise
+    except (QcuspError, ValueError) as exc:
+        raise SeriesFileError(str(exc), lineno)
 
 
 def emit_tower(t: TiltTower, cusp_label: str = "", e: int = 1) -> str:

@@ -38,7 +38,7 @@ from fractions import Fraction
 
 from .coeff import CycloCoeff, RingContext, _poly_mul, _split_p, inv, val_p
 from .errors import DomainError
-from .series import FracSeries, from_terms
+from .series import FracSeries
 
 # -- exact integer Taylor series helpers (dense lists, index = exponent) ------
 
@@ -132,12 +132,13 @@ def j_coefficients(n_terms: int) -> list[int]:
 
 
 def _reduce_int_series(ctx: RingContext, coeffs: list[int], first_exponent: int, laurent: bool) -> FracSeries:
-    pairs = []
-    for i, c in enumerate(coeffs):
-        if c:
-            pairs.append((first_exponent + i, CycloCoeff.from_int(ctx, c)))
-    deg = first_exponent + len(coeffs) - 1
-    return from_terms(ctx, pairs, deg, 0, laurent)
+    """The series sum coeffs[i] q^(first_exponent + i) over ctx, through its
+    last entry. Its keys are ascending integers at depth bound 0, and a
+    nonzero integer has a nonzero image, so it needs no checking."""
+    from_int = CycloCoeff.from_int
+    terms = {first_exponent + i: from_int(ctx, c) for i, c in enumerate(coeffs) if c}
+    deg = Fraction(first_exponent + len(coeffs) - 1)
+    return FracSeries(ctx, terms, deg, 0, laurent, _trusted=True)
 
 
 def j_series(ctx: RingContext, terms: int) -> FracSeries:
@@ -165,7 +166,7 @@ def one_over_j_coefficients(n_terms: int) -> list[int]:
     return _int_divide([1], j_coefficients(n_terms), n_terms - 1)
 
 
-def j_inverse_coefficients(n_terms: int, p: int | None = None, digits: int = 0) -> list[int]:
+def j_inverse_coefficients(n_terms: int) -> list[int]:
     """Coefficients b_1, ..., b_n of the reversion q(w) = w + 744 w^2 + ...
     of 1/j, exact over Z by Lagrange inversion.
 
@@ -174,6 +175,13 @@ def j_inverse_coefficients(n_terms: int, p: int | None = None, digits: int = 0) 
     r = ceil(sqrt(n)): r baby steps h^c and about n/r giant steps h^(r*a),
     each one `_int_mul` through degree n-1, leave one length-d dot product
     and one exact division per b_d.
+    """
+    return _revert_qj(j_coefficients(n_terms)[:n_terms])
+
+
+def _revert_qj(h: list[int], p: int | None = None, digits: int = 0) -> list[int]:
+    """b_1, ..., b_n of the reversion of 1/j from h = q*j through q^(n-1),
+    n = len(h); see `j_inverse_coefficients`.
 
     Given a prime p, the same steps run mod M = p^digits: h and every
     product are reduced mod M. Then c_d = [q^(d-1)] h^d mod M is d*b_d
@@ -182,12 +190,6 @@ def j_inverse_coefficients(n_terms: int, p: int | None = None, digits: int = 0) 
     b_d mod p^(digits - v_p(d)), in [0, p^(digits - v_p(d))); digits must
     exceed v_p(d) for every d <= n.
     """
-    return _revert_qj(j_coefficients(n_terms)[:n_terms], p, digits)
-
-
-def _revert_qj(h: list[int], p: int | None = None, digits: int = 0) -> list[int]:
-    """b_1, ..., b_n of the reversion of 1/j from h = q*j through q^(n-1),
-    n = len(h); see `j_inverse_coefficients`."""
     n_terms = len(h)
     top = n_terms - 1
     modulus = None if p is None else p**digits

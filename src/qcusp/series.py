@@ -15,9 +15,13 @@ One core, `_SparseSeries`, serves two coefficient rings: `FracSeries`
 (CycloCoeff) and `tiltperf.CharPSeries` (F_p). It stores the terms as an
 ascending dict from integer numerators over p^depth_bound to nonzero
 coefficients; binary operations first scale both operands' keys to the
-larger depth bound. Fractions appear only at the public edge: constructor
-input, `items`, `exponents`, `coefficient`, `min_exponent` and `deg_bound`.
-Other modules read the keys through `lowest_terms`, `with_depth_bound` and
+larger depth bound. The constructor takes a dict or a stream of (exponent,
+coefficient) pairs and is the one place a term is checked: its integer key
+against the depth bound, the degree bound, the Laurent flag and repeats,
+zero coefficients included; generators of valid keys pass `_trusted`.
+Fractions appear only at the public edge: constructor input, `items`,
+`exponents`, `coefficient`, `min_exponent` and `deg_bound`. Other modules
+read the keys through `lowest_terms`, `with_depth_bound` and
 `substitute_power`, so only this module computes or scales a stored key.
 
 Over CycloCoeff, products, `compose` and `revert` sum their coefficient
@@ -76,14 +80,6 @@ def _exponent_parts(m, p: int) -> tuple[int, int]:
     return m.numerator, m.denominator
 
 
-def as_exponent(m, p: int) -> Fraction:
-    """Coerce an exponent-like value (Exponent, (num, depth) tuple, Fraction,
-    int) to a Fraction with p-power denominator."""
-    f = Fraction(*_exponent_parts(m, p))
-    exponent_depth(f, p)  # validates the denominator
-    return f
-
-
 def exponent_depth(m: Fraction, p: int) -> int:
     """The depth r of m = num / p^r in lowest terms; rejects other denominators."""
     den = m.denominator
@@ -108,10 +104,11 @@ class _SparseSeries:
 
     __slots__ = ("p", "_terms", "deg_bound", "depth_bound", "laurent")
 
-    def __init__(self, ring, terms: dict, deg_bound, depth_bound: int, laurent: bool = False, *, _trusted: bool = False):
+    def __init__(self, ring, terms, deg_bound, depth_bound: int, laurent: bool = False, *, _trusted: bool = False):
         """`ring` is the coefficient ring (a RingContext, or the prime p for
-        F_p); `terms` maps exponent-like values to coefficients, and zero
-        coefficients are dropped."""
+        F_p); `terms` maps exponent-like values to coefficients, as a dict or
+        as (exponent, coefficient) pairs. Every term, zero or not, is checked;
+        zero coefficients are dropped after that."""
         self.p = p = self._set_ring(ring)
         self.depth_bound = depth_bound
         self.laurent = laurent
@@ -127,10 +124,7 @@ class _SparseSeries:
         top = _top(self.deg_bound, den)
         normalize = self._normalize
         clean = {}
-        for m, c in terms.items():
-            c = normalize(c)
-            if c is None:
-                continue
+        for m, c in terms.items() if isinstance(terms, dict) else terms:
             num, d = _exponent_parts(m, p)
             k, rem = divmod(num * den, d)
             if rem:
@@ -143,8 +137,8 @@ class _SparseSeries:
                 raise DomainError(f"negative exponent {Fraction(k, den)} in a non-Laurent series")
             if k in clean:
                 raise DomainError(f"duplicate exponent {Fraction(k, den)}")
-            clean[k] = c
-        self._terms = dict(sorted(clean.items()))
+            clean[k] = normalize(c)
+        self._terms = {k: c for k, c in sorted(clean.items()) if c is not None}
 
     def _new(self, terms: dict, deg_bound, depth_bound: int, laurent: bool):
         """A series over the same ring from integer keys at depth_bound."""
@@ -447,29 +441,17 @@ class FracSeries(_SparseSeries):
 # -- constructors ------------------------------------------------------------
 
 
-def _term_dict(pairs, p: int) -> dict[Fraction, object]:
-    """(exponent-like, coefficient) pairs as a dict; duplicate exponents are an error."""
-    terms: dict[Fraction, object] = {}
-    for m, c in pairs:
-        key = as_exponent(m, p)
-        if key in terms:
-            raise DomainError(f"duplicate exponent {key}")
-        terms[key] = c
-    return terms
-
-
 def from_terms(ctx: RingContext, pairs, deg_bound, depth_bound: int, laurent: bool = False) -> FracSeries:
     """Build a normalized series from (exponent, coefficient) pairs.
 
     Exponents may be Exponent, Fraction, int, or (num, depth) tuples.
-    Coefficients may be CycloCoeff or int. Duplicate exponents after
-    normalization are an error; zero coefficients are dropped.
+    Coefficients may be CycloCoeff or int. The constructor checks every
+    term, zero or not; duplicate exponents after normalization are an
+    error, and zero coefficients are dropped.
     """
-    terms = _term_dict(pairs, ctx.p)
-    for m, c in terms.items():
-        if isinstance(c, int):
-            terms[m] = CycloCoeff.from_int(ctx, c)
-    return FracSeries(ctx, terms, deg_bound, depth_bound, laurent)
+    from_int = CycloCoeff.from_int
+    return FracSeries(ctx, ((m, from_int(ctx, c) if isinstance(c, int) else c) for m, c in pairs),
+                      deg_bound, depth_bound, laurent)
 
 
 def zero_series(ctx: RingContext, deg_bound, depth_bound: int, laurent: bool = False) -> FracSeries:
@@ -477,8 +459,8 @@ def zero_series(ctx: RingContext, deg_bound, depth_bound: int, laurent: bool = F
 
 
 def monomial(ctx: RingContext, m, c=1, *, deg_bound=None, depth_bound=None, laurent=None) -> FracSeries:
-    key = as_exponent(m, ctx.p)
-    r = exponent_depth(key, ctx.p)
+    key = Fraction(*_exponent_parts(m, ctx.p))
+    r = exponent_depth(key, ctx.p)  # validates the denominator
     return from_terms(
         ctx, [(key, c)],
         key if deg_bound is None else deg_bound,

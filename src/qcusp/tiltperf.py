@@ -20,7 +20,7 @@ from fractions import Fraction
 
 from .coeff import is_prime
 from .errors import DomainError
-from .series import FracSeries, _SparseSeries, _term_dict, substitute_power
+from .series import FracSeries, _SparseSeries, substitute_power
 
 
 class CharPSeries(_SparseSeries):
@@ -52,7 +52,7 @@ class CharPSeries(_SparseSeries):
 def charp_from_terms(p: int, pairs, deg_bound, depth_bound: int, laurent: bool = False) -> CharPSeries:
     """Build a CharPSeries from (exponent-like, integer) pairs; duplicate
     exponents are an error."""
-    return CharPSeries(p, _term_dict(pairs, p), deg_bound, depth_bound, laurent)
+    return CharPSeries(p, pairs, deg_bound, depth_bound, laurent)
 
 
 def reduce_mod_p(f: FracSeries) -> CharPSeries:

@@ -264,3 +264,35 @@ def test_e_header_out_of_range_is_a_usage_error(argv, source, e, tmp_path, capsy
     bad.write_text((GOLDEN / source).read_text().replace("e=1\n", f"e={e}\n"))
     assert run_text([*argv, str(bad)]) == (EXIT_USAGE, "")
     assert capsys.readouterr().err == "qcusp: renormalization index e must be positive and prime to p\n"
+
+
+@pytest.mark.parametrize(
+    "old,new,message",
+    [
+        ("e=1\n", "e=1_1\n", "bad e header '1_1'"),
+        ("e=1\n", "e=+7\n", "bad e header '+7'"),
+        ("k=6\n", "k=+6\n", "bad k header '+6'"),
+        ("k=6\n", "k=٦\n", "bad k header '٦'"),
+        ("depth=2\n", "depth=2.0\n", "bad depth header '2.0'"),
+        ("deg=6\n", "deg=2.5\n", "bad degree bound '2.5'"),
+        ("deg=6\n", "deg=1e1\n", "bad degree bound '1e1'"),
+        ("deg=6\n", "deg=6/0\n", "bad degree bound '6/0'"),
+    ],
+    ids=["e-underscore", "e-plus", "k-plus", "k-arabic-indic", "depth-decimal", "deg-decimal", "deg-exponent", "deg-zero-denominator"],
+)
+def test_bad_header_numbers_are_usage_errors(old, new, message, tmp_path, capsys):
+    # integer fields are -?digits in ASCII, deg is inf or -?digits[/digits]
+    bad = tmp_path / "in_frac.txt"
+    bad.write_text((GOLDEN / "in_frac.txt").read_text().replace(old, new), encoding="utf-8")
+    assert run_text(["trace", "--n", "1", str(bad)]) == (EXIT_USAGE, "")
+    err = capsys.readouterr().err
+    assert_one_error_line(err)
+    assert err == f"qcusp: {message}\n"
+
+
+def test_zero_term_above_degree_bound_is_a_usage_error(tmp_path, capsys):
+    # every term is checked against the header's bounds, zero ones too
+    bad = tmp_path / "in_frac.txt"
+    bad.write_text((GOLDEN / "in_frac.txt").read_text() + "7 : 0\n")
+    assert run_text(["level", str(bad)]) == (EXIT_USAGE, "")
+    assert capsys.readouterr().err == "qcusp: exponent 7 exceeds degree bound 6 (line 14)\n"

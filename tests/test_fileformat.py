@@ -5,7 +5,7 @@ import pytest
 
 from qcusp.coeff import CycloCoeff, new_ring
 from qcusp.errors import SeriesFileError
-from qcusp.fileformat import emit_series, emit_tower, parse_series, parse_tower
+from qcusp.fileformat import emit_series, emit_tower, header_metadata, parse_series, parse_tower
 from qcusp.series import FracSeries, from_terms
 from qcusp.tiltperf import CharPSeries, charp_from_terms, tower_from_charp
 
@@ -34,6 +34,48 @@ def test_duplicate_exponent_rejected():
     with pytest.raises(SeriesFileError) as err:
         parse_series(text)
     assert err.value.line == 8
+    assert str(err.value) == "duplicate exponent 1 (line 8)"
+
+
+P2_HEAD = "p=2\nk=6\ns=0\ndepth=2\ndeg=3\nlaurent=false\n"
+
+
+@pytest.mark.parametrize(
+    "body,message",
+    [
+        ("1 : 1\n1/p^3 : 1\n", "exponent 1/8 has depth 3 > depth bound 2 (line 8)"),
+        ("1 : 1\n4 : 1\n", "exponent 4 exceeds degree bound 3 (line 8)"),
+        ("1 : 1\n5 : 0\n", "exponent 5 exceeds degree bound 3 (line 8)"),
+        ("# a comment\n\n-1 : 1\n", "negative exponent -1 in a non-Laurent series (line 9)"),
+        ("1/p^1 : 1\n2/p^2 : 2\n", "duplicate exponent 1/2 (line 8)"),
+    ],
+    ids=["depth", "degree", "degree-zero-coefficient", "laurent", "duplicate-unreduced"],
+)
+def test_term_errors_name_their_line(body, message):
+    # the constructor checks the streamed terms; parse_series adds the line
+    with pytest.raises(SeriesFileError) as err:
+        parse_series(P2_HEAD + body)
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize("term", ["\u0666 : 1", "1 : \u0666", "1 : p^\u0660*(1)", "1 : p^0*(\u0661*z)"])
+def test_non_ascii_digits_are_rejected(term):
+    with pytest.raises(SeriesFileError) as err:
+        parse_series(P2_HEAD.replace("s=0", "s=2") + term + "\n")
+    assert err.value.line == 7
+
+
+def test_header_metadata_reads_the_header_only():
+    text = P2_HEAD + "cusp_label=c1\ne=3\n1 : 1\nnot a term\n"
+    assert header_metadata(text) == {
+        "p": "2", "k": "6", "s": "0", "depth": "2", "deg": "3",
+        "laurent": "false", "cusp_label": "c1", "e": "3",
+    }
+    for bad, message in (("e=3\ne=5\n", "duplicate header key 'e' (line 8)"), ("f=1\n", "unknown header key 'f' (line 7)")):
+        for read in (header_metadata, parse_series):
+            with pytest.raises(SeriesFileError) as err:
+                read(P2_HEAD + bad + "1 : 1\n")
+            assert str(err.value) == message
 
 
 def test_header_term_consistency():

@@ -25,6 +25,7 @@ from qcusp.modular import (
     one_over_j_coefficients,
     tate_parameter_from_j,
 )
+from qcusp.series import from_terms
 
 
 def naive_eta24(n: int) -> list[int]:
@@ -344,6 +345,26 @@ def exact_series(ctx, n: int):
     return _reduce_int_series(ctx, [0, *exact_reversion()[:n]], 0, laurent=False)
 
 
+@pytest.mark.parametrize("p,k,s,n", [(2, 12, 1, 40), (3, 5, 2, 17), (5, 6, 1, 6), (7, 1, 0, 1), (11, 3, 1, 30)])
+def test_integer_series_match_from_terms(p, k, s, n):
+    # the generators build their terms unchecked; the checked constructor
+    # must give the same series, field for field and key for key
+    ctx = new_ring(p, k, s)
+
+    def checked(first: int, coeffs: list[int], laurent: bool):
+        return from_terms(ctx, enumerate(coeffs, first), first + len(coeffs) - 1, 0, laurent)
+
+    for got, want in (
+        (j_series(ctx, n), checked(-1, j_coefficients(n), True)),
+        (delta_series(ctx, n), checked(1, delta_coefficients(n), False)),
+        (eisenstein4_series(ctx, n), checked(0, eisenstein4_coefficients(n), False)),
+        (j_inverse_series(ctx, n), checked(1, j_inverse_coefficients(n), False)),
+    ):
+        assert fields(got) == fields(want)
+        assert list(got._terms) == list(want._terms)
+        assert type(got.deg_bound) is type(want.deg_bound) is Fraction
+
+
 @settings(max_examples=40, deadline=None)
 @given(p=st.sampled_from([2, 3, 5, 7]), s=st.integers(0, 2), k=st.integers(1, 12), n=st.integers(1, 200))
 @example(p=2, s=0, k=1, n=200)
@@ -363,7 +384,7 @@ def test_modular_reversion_is_exact_mod_p_power(p, data):
     while p ** (top + 1) <= n:
         top += 1
     digits = data.draw(st.integers(top + 1, 40))
-    got = j_inverse_coefficients(n, p, digits)
+    got = modular._revert_qj(j_coefficients(n)[:n], p, digits)
     assert got == [b % p ** (digits - vp(d, p)) for d, b in enumerate(exact_reversion()[:n], 1)]
 
 

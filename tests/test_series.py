@@ -20,6 +20,7 @@ from qcusp.series import (
     twist,
     zero_series,
 )
+from qcusp.tiltperf import charp_from_terms
 from qcusp.trace import tate_trace
 
 from conftest import random_series
@@ -54,6 +55,35 @@ def test_from_terms_rejections():
 def test_zero_coefficients_dropped():
     f = from_terms(CTX, [(1, 0), (2, 5)], 3, 0)
     assert f.exponents() == [Fraction(2)]
+
+
+def build_at_p2(builder: str, pairs):
+    """A series at p = 2, degree bound 2, depth bound 1, not Laurent, built
+    from integer-coefficient pairs by one of the three public entry points."""
+    if builder == "from_terms":
+        return from_terms(CTX, pairs, 2, 1)
+    if builder == "charp_from_terms":
+        return charp_from_terms(2, pairs, 2, 1)
+    return FracSeries(CTX, {m: CycloCoeff.from_int(CTX, c) for m, c in pairs}, 2, 1)
+
+
+@pytest.mark.parametrize("builder", ["from_terms", "charp_from_terms", "FracSeries"])
+@pytest.mark.parametrize(
+    "pairs,error",
+    [
+        ([((1, 2), 0)], DepthError),
+        ([(3, 0)], DomainError),
+        ([(-1, 0)], DomainError),
+        ([(Fraction(1, 2), 1), ((2, 2), 0)], DomainError),
+        ([(Fraction(1, 2), 0), ((2, 2), 1)], DomainError),
+    ],
+    ids=["too-deep", "above-deg", "negative", "duplicate-zero-second", "duplicate-zero-first"],
+)
+def test_zero_coefficient_terms_are_checked(builder, pairs, error):
+    # the constructor checks every term before it drops the zero ones
+    with pytest.raises(error):
+        build_at_p2(builder, pairs)
+    assert build_at_p2(builder, [(Fraction(1, 2), 0), (2, 0)]).is_zero()
 
 
 def test_monomial_multiplication():
